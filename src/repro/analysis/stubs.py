@@ -342,12 +342,16 @@ class StubRegistry:
 
     def __init__(self) -> None:
         self._modules: Dict[str, ModuleStubs] = {}
+        #: Memoized :meth:`fingerprint`; :meth:`add`, the only writer of
+        #: ``_modules``, drops it.
+        self._fingerprint: Optional[str] = None
 
     # -- construction ------------------------------------------------------
 
     def add(self, stubs: ModuleStubs) -> None:
         """Register one module's stubs (replacing any previous entry)."""
         self._modules[stubs.module] = stubs
+        self._fingerprint = None
 
     def add_mapping(self, data: Any, source: Optional[str] = None) -> None:
         for stubs in parse_stub_mapping(data, source):
@@ -444,6 +448,11 @@ class StubRegistry:
 
     def fingerprint(self) -> str:
         """Stable digest of every registered stub (cache keying)."""
+        if self._fingerprint is None:
+            self._fingerprint = self._digest()
+        return self._fingerprint
+
+    def _digest(self) -> str:
         import hashlib
 
         parts: List[str] = []

@@ -34,6 +34,13 @@ classic bottom-up summary analysis over the notebook's call graph:
   star import, ``globals()``…) invalidates everything, because it can
   rebind any name without the analysis seeing it.
 
+* **Prefix memo** — the table is an append-only log indexed by cell
+  position, so the table after the first ``k`` cells of a fold is a
+  truncating copy (:meth:`NotebookSummaries.fork`). A :class:`PrefixMemo`
+  keeps folded tables by source prefix, and
+  :meth:`NotebookSummaries.from_sources` resumes from the deepest prefix
+  it already holds — what makes a checkout's resync incremental.
+
 Soundness contract with the CrossValidator (DESIGN.md §14): deferring a
 def-site escape is safe only if every path by which the body's hidden
 effects can later run re-surfaces the escape. Direct calls do (call
@@ -52,10 +59,24 @@ sorted lists — byte-stable across runs and interpreters.
 from __future__ import annotations
 
 import ast
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Generic,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.analysis.effects import CellEffects, Escape, EscapeKind, Span
+from repro.analysis.stubs import StubRegistry
 from repro.analysis.typetrack import (
     CellResolver,
     StubContext,
@@ -76,6 +97,7 @@ __all__ = [
     "FunctionSummary",
     "InvalidationRecord",
     "NotebookSummaries",
+    "PrefixMemo",
     "RawSummary",
     "SummaryView",
     "extract_cell_summaries",
@@ -101,6 +123,38 @@ _OPAQUE_ESCAPE_KINDS = frozenset(
 #: Fixpoint rounds are bounded by the call-graph diameter; this cap is a
 #: defensive backstop far above any real notebook's.
 _MAX_FIXPOINT_ROUNDS = 64
+
+#: Entries each of a table's two analysis caches keeps. A fold hits them
+#: from one cell to the next (the same source extracted for the view and
+#: again for the observation; an unchanged live set resolved again), so
+#: a small window does; the cap keeps a long-lived session flat.
+CACHE_ENTRIES = 128
+
+_K = TypeVar("_K")
+_V = TypeVar("_V")
+
+
+class _LRU(Generic[_K, _V]):
+    """A mapping that keeps its :data:`CACHE_ENTRIES` most recently used
+    entries."""
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[_K, _V]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: _K) -> Optional[_V]:
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key: _K, value: _V) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if len(self._entries) > CACHE_ENTRIES:
+            self._entries.popitem(last=False)
 
 
 # ---------------------------------------------------------------------------
@@ -929,13 +983,13 @@ class NotebookSummaries:
         #: notebook-lifecycle owner calls ``stubs.observe_cell`` (or the
         #: table's own :meth:`advance` does, when it is the driver).
         self._stubs = stubs
-        self._extract_cache: Dict[
+        self._extract_cache: _LRU[
             Tuple[str, Optional[str]], Dict[str, RawSummary]
-        ] = {}
-        self._resolve_cache: Dict[
-            Tuple[Optional[str], Tuple[Tuple[str, int], ...]],
+        ] = _LRU()
+        self._resolve_cache: _LRU[
+            Tuple[Optional[str], Tuple[Tuple[str, int, str], ...]],
             Dict[str, FunctionSummary],
-        ] = {}
+        ] = _LRU()
 
     # -- construction --------------------------------------------------------
 
@@ -944,11 +998,66 @@ class NotebookSummaries:
         cls,
         sources: Sequence[str],
         stubs: Optional[StubContext] = None,
+        memo: Optional["PrefixMemo"] = None,
     ) -> "NotebookSummaries":
-        table = cls(stubs)
-        for source in sources:
+        """The table after ``sources`` ran in order, from the empty table.
+
+        ``stubs``, when given, is the context library calls resolve
+        against; it ends at the type environment after the last source,
+        whatever it held before. With a ``memo``, the fold resumes from
+        the deepest prefix of ``sources`` an earlier fold through that
+        memo already analysed, and re-analyses only the rest; without
+        one it starts from the empty table. The result equals a fold of
+        every source either way, and is a copy the caller may advance.
+        """
+        memo = memo if memo is not None else PrefixMemo()
+        registry = stubs.registry if stubs is not None else None
+        keys = _prefix_keys(sources)
+        k, stored = memo.deepest(keys, registry)
+        if stored is not None:
+            table = stored.fork(k)
+        else:
+            table = cls(StubContext(registry) if registry is not None else None)
+        for source in sources[k:]:
             table.advance(source)
+        if k < len(sources):
+            memo.remember(keys, table.fork(len(sources)))
+        memo.reused, memo.folded = k, len(sources) - k
+        if stubs is not None:
+            # The caller's context takes over the folded environment.
+            assert table._stubs is not None
+            stubs.env = table._stubs.env
+            stubs.env.registry = stubs.registry
+            table._stubs = stubs
         return table
+
+    def fork(self, k: int) -> "NotebookSummaries":
+        """An independent copy of this table as of its first ``k`` cells.
+
+        For a table driven by :meth:`advance`: every event is appended
+        under the index of the cell that caused it, so the copy is a
+        truncation and analyses nothing, and the stub context is rewound
+        to the environment before cell ``k``
+        (:meth:`~repro.analysis.typetrack.NotebookTypeEnv.fork`). The
+        copy starts with empty caches: cached resolutions are keyed by
+        cell index, which a copy that advances differently may reuse for
+        other cells.
+        """
+        stubs = (
+            StubContext(self._stubs.registry, self._stubs.env.fork(k))
+            if self._stubs is not None
+            else None
+        )
+        copy = NotebookSummaries(stubs)
+        for name, events in self._events.items():
+            kept = [event for event in events if event[0] < k]
+            if kept:
+                copy._events[name] = kept
+        copy._invalidations = [
+            record for record in self._invalidations if record.cell_index < k
+        ]
+        copy._next_index = k
+        return copy
 
     def _stub_token(self) -> Optional[str]:
         return self._stubs.fingerprint() if self._stubs is not None else None
@@ -996,14 +1105,22 @@ class NotebookSummaries:
         return dead
 
     def _resolve(self, raws: Dict[str, RawSummary]) -> Dict[str, FunctionSummary]:
+        # Within one history a raw summary is named by where it was
+        # defined: its cell and qualified name. The qualname tells apart
+        # an alias rebound to another function defined in the same cell.
         key = (
             self._stub_token(),
-            tuple(sorted((name, raw.cell_index) for name, raw in raws.items())),
+            tuple(
+                sorted(
+                    (name, raw.cell_index, raw.qualname)
+                    for name, raw in raws.items()
+                )
+            ),
         )
         cached = self._resolve_cache.get(key)
         if cached is None:
             cached = resolve_summaries(raws)
-            self._resolve_cache[key] = cached
+            self._resolve_cache.put(key, cached)
         return cached
 
     def view_at(self, at_index: int) -> SummaryView:
@@ -1051,7 +1168,7 @@ class NotebookSummaries:
         raws = extract_cell_summaries(
             module, self._next_index, resolver=resolver
         )
-        self._extract_cache[key] = raws
+        self._extract_cache.put(key, raws)
         return raws
 
     def view_for_cell(self, source: str) -> SummaryView:
@@ -1230,3 +1347,62 @@ class NotebookSummaries:
                 ),
             },
         }
+
+
+def _prefix_keys(sources: Sequence[str]) -> List[Tuple[int, int]]:
+    """``(k, fingerprint of the first k sources)`` for k = 1..len.
+
+    The fingerprint is hash-chained as the replay engine keys its cell
+    memo, so a source edited in place changes every key from its
+    position on."""
+    keys: List[Tuple[int, int]] = []
+    fingerprint = 0
+    for k, source in enumerate(sources, 1):
+        fingerprint = hash((fingerprint, source))
+        keys.append((k, fingerprint))
+    return keys
+
+
+class PrefixMemo:
+    """Folded summary tables by source prefix (DESIGN.md §14).
+
+    Each key of a folded chain — see :func:`_prefix_keys` — maps to a
+    table that folded at least that prefix; :meth:`NotebookSummaries.fork`
+    cuts the state after its first ``k`` cells back out. A stored table
+    is a copy no caller holds, and it is never advanced. A later fold
+    re-points every key of its chain at its own table, so a table stays
+    alive only while it holds the only fold of some prefix. Tables folded
+    under one stub registry do not serve a fold under another: a change
+    of registry fingerprint empties the memo.
+    """
+
+    def __init__(self) -> None:
+        self._tables: Dict[Tuple[int, int], NotebookSummaries] = {}
+        self._registry: Optional[str] = None
+        #: Sources the latest fold took from a stored table, and analysed.
+        self.reused = 0
+        self.folded = 0
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def deepest(
+        self, keys: Sequence[Tuple[int, int]], registry: Optional[StubRegistry]
+    ) -> Tuple[int, Optional[NotebookSummaries]]:
+        """The longest prefix of ``keys`` stored, and a table holding it
+        (``(0, None)`` when there is none)."""
+        token = registry.fingerprint() if registry is not None else None
+        if token != self._registry:
+            self._tables.clear()
+            self._registry = token
+        for key in reversed(keys):
+            table = self._tables.get(key)
+            if table is not None:
+                return key[0], table
+        return 0, None
+
+    def remember(
+        self, keys: Sequence[Tuple[int, int]], table: NotebookSummaries
+    ) -> None:
+        for key in keys:
+            self._tables[key] = table

@@ -558,9 +558,18 @@ class NotebookTypeEnv:
             else:
                 self._env[name] = bound
 
-    def reset(self) -> None:
-        self._env = {}
-        self._snapshots = []
+    def fork(self, k: int) -> "NotebookTypeEnv":
+        """An independent copy of this environment as of before cell ``k``.
+
+        Cell ``i`` appends the snapshot before it, so the copy keeps the
+        first ``k`` snapshots and resumes from the ``k``-th. Snapshots are
+        never mutated once taken, so the copy shares them.
+        """
+        env = NotebookTypeEnv(self.registry)
+        env._snapshots = self._snapshots[:k]
+        current = self._snapshots[k] if k < len(self._snapshots) else self._env
+        env._env = dict(current)
+        return env
 
     @classmethod
     def from_sources(
@@ -613,9 +622,6 @@ class StubContext:
         opaque: Optional[bool] = None,
     ) -> None:
         self.env.observe_cell(source, executed=executed, opaque=opaque)
-
-    def reset(self) -> None:
-        self.env.reset()
 
     def fingerprint(self) -> str:
         return f"{self.registry.fingerprint()}:{self.env.fingerprint()}"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.covariable import (
     CoVariable,
@@ -296,13 +296,19 @@ class StateLoader:
         )
 
     def checkout(
-        self, target_id: str, namespace: PatchedNamespace
+        self,
+        target_id: str,
+        namespace: PatchedNamespace,
+        *,
+        resync_summaries: Optional[Callable[[str], None]] = None,
     ) -> CheckoutReport:
         """Restore the kernel to the session state at ``target_id``.
 
         Follows the paper's three steps: (1) load versioned co-variables to
         update diverged ones, (2) re-generate VarGraphs for what changed,
-        (3) move the head.
+        (3) move the head. ``resync_summaries`` brings the session's
+        analysis state to the target last, inside the checkout's span
+        and its ``seconds``.
         """
         started = time.perf_counter()
         # Write-ahead barrier: wait out (and surface failures from) any
@@ -384,6 +390,9 @@ class StateLoader:
             with self.observer.span("checkout.resync"):
                 self._resync_pool(plan, materialized, namespace)
             self.graph.move_head(target_id)
+            if resync_summaries is not None:
+                with self.observer.span("checkout.resync_summaries"):
+                    resync_summaries(target_id)
             root.update(
                 {
                     "loaded": len(report.loaded_keys),

@@ -25,8 +25,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Union
 from repro.analysis.crossval import CrossValidator
 from repro.analysis.dataflow import in_place_mutation_targets
 from repro.analysis.effects import CellEffects
-from repro.analysis.summaries import NotebookSummaries
-from repro.analysis.typetrack import StubContext
+from repro.analysis.summaries import NotebookSummaries, PrefixMemo
+from repro.analysis.typetrack import NotebookTypeEnv, StubContext
 from repro.analysis.visitor import analyze_cell
 from repro.core.covariable import CoVariablePool, CoVarKey
 from repro.core.delta import DeltaDetector, StateDelta, fold_deltas
@@ -199,6 +199,10 @@ class KishuSession:
         self.summaries: Optional[NotebookSummaries] = (
             NotebookSummaries(stubs=self.stubs) if use_summaries else None
         )
+        #: Summary tables folded by checkout resyncs, by chain prefix, so
+        #: an undo or redo re-analyses only the cells since the deepest
+        #: ancestor already folded (DESIGN.md §14).
+        self._resync_memo = PrefixMemo()
         #: Receivers of stub-declared-pure calls in the cells of the
         #: pending checkpoint — the runtime mismatch witnesses: a
         #: commit-time delta on one of these with no other static
@@ -856,9 +860,12 @@ class KishuSession:
         """
         resolved = self.refs.resolve(ref)
         checkpoint_id = resolved if resolved is not None else ref
-        report = self.loader.checkout(checkpoint_id, self.kernel.user_ns)
+        report = self.loader.checkout(
+            checkpoint_id,
+            self.kernel.user_ns,
+            resync_summaries=self._resync_summaries,
+        )
         self._discard_carryover_after_checkout(checkpoint_id, report)
-        self._resync_summaries(checkpoint_id)
         self.checkout_reports.append(report)
         if ref in self.refs.branches():
             self.refs.activate_branch(ref)
@@ -876,7 +883,9 @@ class KishuSession:
         abandoned timeline (defs executed after the target, rebinds,
         invalidation events) must not leak into analyses of cells run
         from here on. Rebuilding from the target's chain sources is
-        exactly the replay both tables would have observed live.
+        exactly the replay both tables would have observed live; the
+        prefix memo resumes it from the deepest ancestor an earlier
+        resync folded.
         """
         self._pending_stub_pure = set()
         if self.summaries is None and self.stubs is None:
@@ -886,17 +895,22 @@ class KishuSession:
             for ancestor in reversed(self.graph.path_to_root(target_id))
             if ancestor != ROOT_ID
         ]
-        if self.stubs is not None:
-            self.stubs.reset()
         if self.summaries is not None:
-            # from_sources drives the shared stub context's env forward
-            # alongside the table, keeping the two in lockstep.
+            # from_sources leaves the shared stub context's env at the
+            # same point as the table, keeping the two in lockstep.
+            memo = self._resync_memo
             self.summaries = NotebookSummaries.from_sources(
-                sources, stubs=self.stubs
+                sources, stubs=self.stubs, memo=memo
             )
-        elif self.stubs is not None:
-            for source in sources:
-                self.stubs.observe_cell(source)
+            reused, folded = memo.reused, memo.folded
+        else:
+            assert self.stubs is not None
+            self.stubs.env = NotebookTypeEnv.from_sources(
+                sources, self.stubs.registry
+            )
+            reused, folded = 0, len(sources)
+        self.observer.count("checkout.resync.reused", reused)
+        self.observer.count("checkout.resync.folded", folded)
 
     def _discard_carryover_after_checkout(
         self, target_id: str, report: CheckoutReport

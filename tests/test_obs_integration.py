@@ -93,11 +93,12 @@ class TestAcceptanceTrace:
         "replay.execute",
         "checkout.apply",
         "checkout.resync",
+        "checkout.resync_summaries",
     )
 
     def test_trace_covers_both_lifecycles(self, tmp_path):
         session = KishuSession.init(NotebookKernel())
-        run_shared_workload_with_checkout(session)
+        report = run_shared_workload_with_checkout(session)
 
         names = {span.name for span in session.observer.tracer.all_spans()}
         for expected in self.COMMIT_SPANS + self.CHECKOUT_SPANS:
@@ -112,6 +113,10 @@ class TestAcceptanceTrace:
         )
         assert checkout_root.find("replay.execute") is not None
         assert checkout_root.find("checkout.resync") is not None
+        # The analysis resync is part of what the checkout reports it took.
+        resync = checkout_root.find("checkout.resync_summaries")
+        assert resync is not None
+        assert report.seconds >= checkout_root.duration >= resync.duration
         # Wall/CPU timing is recorded (values themselves are not asserted).
         assert checkout_root.duration > 0.0
 

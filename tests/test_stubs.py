@@ -112,6 +112,17 @@ class TestStubFormat:
         changed["types"]["Frame"]["methods"]["head"]["effect"] = "mutates"
         assert _registry(changed).fingerprint() != one.fingerprint()
 
+    def test_cached_fingerprint_follows_additions(self):
+        registry = default_registry()
+        cached = registry.fingerprint()
+        assert registry.fingerprint() == cached == registry._digest()
+        registry.add_mapping(PANDAS_LIKE)
+        assert registry.fingerprint() != cached
+        assert registry.fingerprint() == registry._digest()
+        fresh = default_registry()
+        fresh.add_mapping(PANDAS_LIKE)
+        assert fresh.fingerprint() == registry.fingerprint()
+
     def test_shipped_stubs_load(self):
         assert shipped_stub_files()
         registry = default_registry()

@@ -809,9 +809,9 @@ class PlanStep:
 
     ``kind`` is ``"load"`` (plant a stored co-variable payload) or
     ``"replay"`` (re-execute a cell). Steps sort by ``index`` with loads
-    before replays at the same index — a load anchored at a cell's index
-    represents the state *after* that cell, so a replayed cell at the
-    same index overwrites it.
+    after replays at the same index — a load anchored at a cell's index
+    represents the state *after* that cell, so replaying the cell on top
+    of it would apply the cell's in-place mutations twice.
     """
 
     kind: str
@@ -825,7 +825,7 @@ class PlanStep:
 
     @property
     def sort_key(self) -> Tuple[int, int, str]:
-        return (self.index, 0 if self.kind == "load" else 1, ",".join(self.names))
+        return (self.index, 1 if self.kind == "load" else 0, ",".join(self.names))
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -988,7 +988,6 @@ class ReplayPlanner:
 
         replay_indices: Set[int] = set()
         loads: Dict[Tuple[FrozenSet[str], str], StoredVersion] = {}
-        loaded_names: Dict[str, int] = {}  # name -> anchor index of its load
         external: Set[str] = set()
         missing: Set[str] = set()
         unsafe: Dict[int, str] = {}
@@ -1002,8 +1001,6 @@ class ReplayPlanner:
             if (name, upto) in seen:
                 continue
             seen.add((name, upto))
-            if name in loaded_names and loaded_names[name] >= upto:
-                continue  # a load at or after this point already covers it
 
             resolution = self.graph.resolve(name, upto)
             if resolution.unresolved:
@@ -1020,9 +1017,6 @@ class ReplayPlanner:
             )
             if version is not None:
                 loads[(version.names, version.ref)] = version
-                for covered in version.names:
-                    anchored = loaded_names.get(covered, -1)
-                    loaded_names[covered] = max(anchored, version.index)
                 continue
 
             for producer in resolution.producers:

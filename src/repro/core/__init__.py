@@ -1,6 +1,7 @@
 """Core Kishu machinery: VarGraphs, co-variables, delta detection, the
 checkpoint graph, incremental checkout, and fallback recomputation."""
 
+from repro.analysis import ReadOnlyCellAnalyzer
 from repro.core.covariable import (
     CoVariable,
     CoVariablePool,
@@ -21,7 +22,6 @@ from repro.core.objectwalk import DEFAULT_POLICY, TraversalPolicy, Visit
 from repro.core.planner import CheckoutPlan, CheckoutPlanner, PlannedLoad
 from repro.core.restore import CheckoutReport, DataRestorer, StateLoader
 from repro.core.retry import NO_RETRY, RetryPolicy
-from repro.core.rules import ReadOnlyCellAnalyzer
 from repro.core.serialization import (
     Blocklist,
     FallbackPickler,

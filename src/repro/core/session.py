@@ -42,6 +42,7 @@ from repro.core.storage import (
     InMemoryCheckpointStore,
     StoredNode,
     StoredPayload,
+    persist_checkpoint,
 )
 from repro.core.vargraph import VarGraphBuilder
 from repro.errors import KishuError, SerializationError, StorageError
@@ -121,14 +122,11 @@ class KishuSession:
         store: Optional[CheckpointStore] = None,
         *,
         auto_checkpoint: bool = True,
-        check_all: bool = False,
         serializer: Optional[SerializerChain] = None,
         blocklist: Optional[Blocklist] = None,
         builder: Optional[VarGraphBuilder] = None,
         rule_analyzer: Optional["ReadOnlyCellAnalyzer"] = None,
         retry: Optional[RetryPolicy] = None,
-        incremental: bool = True,
-        cross_validate: bool = True,
         use_summaries: bool = True,
         use_stubs: bool = True,
         stub_registry: Optional[Any] = None,
@@ -166,16 +164,8 @@ class KishuSession:
         #: runtime access record; cells with tracking escape hatches or
         #: under-reported records are escalated to check-all detection.
         #: Its stats are a view over the session registry (``analysis.*``).
-        self.validator = (
-            CrossValidator(stats=AnalysisStats(registry=stats_registry))
-            if cross_validate
-            else None
-        )
-        self.analysis_stats = (
-            self.validator.stats
-            if self.validator is not None
-            else AnalysisStats(registry=stats_registry)
-        )
+        self.validator = CrossValidator(stats=AnalysisStats(registry=stats_registry))
+        self.analysis_stats = self.validator.stats
         self._pending_effects: Optional[CellEffects] = None
         self._installed_analyzer = False
         #: Interprocedural function-effect summaries (DESIGN.md §14). The
@@ -214,9 +204,9 @@ class KishuSession:
         # makes the incremental walk cache sound — so the session-owned
         # builder enables it (a caller-supplied builder is used as-is).
         if builder is None:
-            builder = VarGraphBuilder(incremental=incremental)
+            builder = VarGraphBuilder(incremental=True)
         self.pool = CoVariablePool(builder)
-        self.detector = DeltaDetector(self.pool, check_all=check_all)
+        self.detector = DeltaDetector(self.pool)
         self.graph = CheckpointGraph()
         self.loader = StateLoader(
             self.graph, self.store, self.serializer, self.pool,
@@ -302,7 +292,7 @@ class KishuSession:
         self.kernel.events.register(PRE_RUN_CELL, self._on_pre_run)
         self.kernel.events.register(POST_RUN_CELL, self._on_post_run)
         self.kernel.observer = self.observer
-        if self.validator is not None and self.kernel.cell_analyzer is None:
+        if self.kernel.cell_analyzer is None:
             # Install the pre-execution static-analysis hook so every
             # cell's effects are computed before it runs. The bound
             # method consults the session's summary table, making the
@@ -345,22 +335,17 @@ class KishuSession:
         return analyze_cell(source, view, stubs=self.stubs)
 
     def _on_pre_run(self, info: ExecutionInfo) -> None:
-        if (
-            self.validator is not None
-            or self.summaries is not None
-            or self.stubs is not None
-        ):
-            effects = info.analysis
-            if not isinstance(effects, CellEffects):
-                # No analyzer on the kernel (or a foreign one): analyze
-                # here so cross-validation still sees every cell.
-                effects = self._analyze_cell(info.cell.source)
-            self._cell_effects = effects
-            self._pending_effects = (
-                effects
-                if self._pending_effects is None
-                else self._pending_effects.merge(effects)
-            )
+        effects = info.analysis
+        if not isinstance(effects, CellEffects):
+            # No analyzer on the kernel (or a foreign one): analyze here
+            # so cross-validation still sees every cell.
+            effects = self._analyze_cell(info.cell.source)
+        self._cell_effects = effects
+        self._pending_effects = (
+            effects
+            if self._pending_effects is None
+            else self._pending_effects.merge(effects)
+        )
         if not self.kernel.user_ns.recording:
             self.kernel.user_ns.begin_recording()
 
@@ -506,7 +491,7 @@ class KishuSession:
             # mode — correctness is restored at AblatedKishu's per-cell
             # cost.
             escalate = False
-            if self.validator is not None and effects is not None:
+            if effects is not None:
                 with obs.span("commit.crossval") as crossval_span:
                     outcome = self.validator.validate(effects, record)
                     crossval_span.set("escalate", outcome.escalate)
@@ -554,10 +539,9 @@ class KishuSession:
             if self.stubs is not None and self._pending_stub_pure:
                 refuted = self._refuted_stub_purity(delta, record, effects)
                 if refuted:
-                    if self.validator is not None:
-                        self.validator.note_stub_mismatch(
-                            frozenset(refuted), already_escalated=escalate
-                        )
+                    self.validator.note_stub_mismatch(
+                        frozenset(refuted), already_escalated=escalate
+                    )
                     obs.event(
                         EventType.STUB_MISMATCH,
                         names=sorted(refuted),
@@ -719,14 +703,17 @@ class KishuSession:
         # a storage failure leaves both graph and store at the parent.
         started = time.perf_counter()
         with obs.span("commit.persist", node=node_id) as persist_span:
-            degraded, dropped_bytes = self._persist_atomically(
-                stored_node, payloads, updated_infos
+            degraded = persist_checkpoint(
+                self.store, stored_node, payloads, retry=self.retry, observer=obs
             )
         write_seconds = time.perf_counter() - started
+        # Degraded payloads are tombstones now; checkout recomputes them.
+        for payload in degraded:
+            updated_infos[payload.key] = PayloadInfo(key=payload.key, stored=False)
         serialized_bytes = bytes_written
-        skipped += degraded
-        bytes_written -= dropped_bytes
-        persist_span.update({"bytes": bytes_written, "degraded": degraded})
+        skipped += len(degraded)
+        bytes_written -= sum(payload.size_bytes for payload in degraded)
+        persist_span.update({"bytes": bytes_written, "degraded": len(degraded)})
 
         node = self.graph.add_node(
             cell_source=cell_source,
@@ -770,7 +757,7 @@ class KishuSession:
                 bytes_written=bytes_written,
                 updated_covariables=len(delta.updated),
                 skipped_unserializable=skipped,
-                degraded_payloads=degraded,
+                degraded_payloads=len(degraded),
                 walk=delta.walk,
                 escalated=escalated,
                 serialized_bytes=serialized_bytes,
@@ -778,76 +765,6 @@ class KishuSession:
             )
         )
         return node
-
-    def _persist_atomically(
-        self,
-        stored_node: StoredNode,
-        payloads: List[StoredPayload],
-        updated_infos: Dict[CoVarKey, PayloadInfo],
-    ) -> Tuple[int, int]:
-        """Write one checkpoint under begin/commit, with retry and
-        graceful degradation.
-
-        Every store call runs under the session's retry policy (transient
-        faults back off and retry). A payload that storage permanently
-        refuses is degraded to a tombstone — checkout will recompute it
-        (§5.3) — and ``updated_infos`` is amended to say so. A node write
-        or commit that fails permanently aborts the checkpoint: the open
-        transaction is rolled back and the error propagates.
-
-        A :class:`~repro.errors.SimulatedCrash` is a BaseException and
-        escapes without rollback — by design: a crashed process cannot
-        clean up, and recovery-on-open must cope with whatever remains.
-
-        Returns (degraded payload count, bytes not written due to
-        degradation).
-        """
-        store = self.store
-        node_id = stored_node.node_id
-        degraded = 0
-        dropped_bytes = 0
-        try:
-            self.retry.run(lambda: store.begin_checkpoint(node_id))
-            for payload in payloads:
-                written = self._write_payload_or_tombstone(payload)
-                if written is not payload:
-                    degraded += 1
-                    dropped_bytes += payload.size_bytes
-                    updated_infos[payload.key] = PayloadInfo(
-                        key=payload.key, stored=False
-                    )
-                    self.observer.event(
-                        EventType.TOMBSTONE_DEGRADED,
-                        node=node_id,
-                        covariable=sorted(payload.key),
-                        bytes_dropped=payload.size_bytes,
-                    )
-            self.retry.run(lambda: store.write_node(stored_node))
-            self.retry.run(lambda: store.commit_checkpoint(node_id))
-        except Exception:
-            try:
-                store.rollback_checkpoint(node_id)
-            except Exception:
-                pass  # recovery-on-open sweeps whatever rollback couldn't
-            raise
-        return degraded, dropped_bytes
-
-    def _write_payload_or_tombstone(self, payload: StoredPayload) -> StoredPayload:
-        """Write a payload, degrading to a tombstone if storage refuses it."""
-        try:
-            self.retry.run(lambda: self.store.write_payload(payload))
-            return payload
-        except StorageError:
-            if payload.data is None:
-                raise  # it already was a tombstone; nothing left to shed
-            tombstone = StoredPayload(
-                node_id=payload.node_id,
-                key=payload.key,
-                data=None,
-                serializer=None,
-            )
-            self.retry.run(lambda: self.store.write_payload(tombstone))
-            return tombstone
 
     # -- time-traveling -----------------------------------------------------------
 

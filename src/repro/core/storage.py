@@ -44,6 +44,10 @@ writes in a staging area merged atomically at commit. ``read_nodes()``
 returns committed nodes only, and opening a durable store sweeps any
 uncommitted leftovers (see :meth:`CheckpointStore.recover`).
 
+:func:`persist_checkpoint` is the one implementation of that sequence,
+with retry, tombstone degradation and rollback. The synchronous session
+and the service's queue writer both call it.
+
 Threading
 ---------
 The SQLite connection is opened with ``check_same_thread=False`` so the
@@ -60,9 +64,10 @@ import sqlite3
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.covariable import CoVarKey, covar_key
+from repro.core.retry import NO_RETRY, RetryPolicy
 from repro.errors import StorageError, StoreBusyError
 from repro.obs import EventType, NO_OBSERVER, Observer
 
@@ -283,23 +288,6 @@ class CheckpointStore:
         """Whether a begin_checkpoint is currently open."""
         return False
 
-    @contextmanager
-    def checkpoint(self, node_id: str) -> Iterator["CheckpointStore"]:
-        """Commit-protocol scope: commits on success, rolls back on error.
-
-        A :class:`~repro.errors.SimulatedCrash` (a BaseException) escapes
-        *without* rolling back — a crashed process gets no chance to clean
-        up; that is exactly the state recovery-on-open must handle.
-        """
-        self.begin_checkpoint(node_id)
-        try:
-            yield self
-        except Exception:
-            self.rollback_checkpoint(node_id)
-            raise
-        else:
-            self.commit_checkpoint(node_id)
-
     def recover(self) -> RecoveryReport:
         """Sweep torn state (uncommitted nodes, orphan payloads).
 
@@ -341,6 +329,59 @@ class CheckpointStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def persist_checkpoint(
+    store: CheckpointStore,
+    node: StoredNode,
+    payloads: Sequence[StoredPayload],
+    *,
+    retry: RetryPolicy = NO_RETRY,
+    observer: Observer = NO_OBSERVER,
+) -> List[StoredPayload]:
+    """Write one checkpoint whole, or not at all (DESIGN.md §6).
+
+    Runs begin → each payload → node → commit on ``store``, every call
+    under ``retry``. A payload storage permanently refuses is rewritten
+    as a tombstone — checkout recomputes it (§5.3) — and reported as a
+    ``tombstone_degraded`` event. Any other failure rolls the open
+    checkpoint back and propagates. A
+    :class:`~repro.errors.SimulatedCrash` is a BaseException and escapes
+    *without* rollback: a crashed process cannot clean up, and
+    recovery-on-open must cope with whatever remains.
+
+    Returns the payloads that were degraded to tombstones.
+    """
+    node_id = node.node_id
+    degraded: List[StoredPayload] = []
+    try:
+        retry.run(lambda: store.begin_checkpoint(node_id))
+        for payload in payloads:
+            try:
+                retry.run(lambda: store.write_payload(payload))
+            except StorageError:
+                if payload.data is None:
+                    raise  # it already was a tombstone; nothing left to shed
+                tombstone = StoredPayload(
+                    payload.node_id, payload.key, data=None, serializer=None
+                )
+                retry.run(lambda: store.write_payload(tombstone))
+                degraded.append(payload)
+                observer.event(
+                    EventType.TOMBSTONE_DEGRADED,
+                    node=node_id,
+                    covariable=sorted(payload.key),
+                    bytes_dropped=payload.size_bytes,
+                )
+        retry.run(lambda: store.write_node(node))
+        retry.run(lambda: store.commit_checkpoint(node_id))
+    except Exception:
+        try:
+            store.rollback_checkpoint(node_id)
+        except Exception:
+            pass  # recovery-on-open sweeps whatever rollback couldn't
+        raise
+    return degraded
 
 
 def _node_sort_key(order: int, node: StoredNode) -> Tuple[int, int, int]:

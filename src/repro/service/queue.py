@@ -7,7 +7,10 @@ the :class:`CommitQueue` at commit time. The queue's single background
 writer thread owns batching, the fsync policy, and
 :class:`~repro.core.retry.RetryPolicy` retry against the real store — a
 slow or faulting disk therefore never blocks cell execution, and enqueue
-latency stays flat regardless of write latency underneath.
+latency stays flat regardless of write latency underneath. The writer
+applies each record with :func:`~repro.core.storage.persist_checkpoint`,
+the same function the synchronous session path calls, so both paths
+share one protocol, retry and tombstone degradation.
 
 Ordering and durability contract (DESIGN.md §13):
 
@@ -54,6 +57,7 @@ from repro.core.storage import (
     SessionRecord,
     StoredNode,
     StoredPayload,
+    persist_checkpoint,
 )
 from repro.errors import PermanentStorageError, StorageError
 from repro.obs import COUNT_BUCKETS, LATENCY_BUCKETS, EventType, NO_OBSERVER, Observer
@@ -384,7 +388,14 @@ class CommitQueue:
                         f"lane poisoned: {self._poisoned[record.session_id]}"
                     )
                 started = time.perf_counter()
-                self._write_record(record)
+                view = self._active_view = self._view(record.session_id)
+                persist_checkpoint(
+                    view,
+                    record.node,
+                    record.payloads,
+                    retry=self._retry,
+                    observer=self._observer,
+                )
                 elapsed = time.perf_counter() - started
                 written += 1
                 if fsync == "per_commit":
@@ -428,47 +439,6 @@ class CommitQueue:
         self._observer.gauge("service.queue_depth", depth)
         with self._lock:
             self._batches += 1
-
-    def _write_record(self, record: _QueuedCommit) -> None:
-        """Persist one checkpoint with the same protocol, retry, and
-        tombstone degradation the synchronous session path uses."""
-        view = self._view(record.session_id)
-        self._active_view = view
-        node = record.node
-        try:
-            self._retry.run(lambda: view.begin_checkpoint(node.node_id))
-            for payload in record.payloads:
-                self._write_payload_or_tombstone(view, payload)
-            self._retry.run(lambda: view.write_node(node))
-            self._retry.run(lambda: view.commit_checkpoint(node.node_id))
-        except Exception:
-            try:
-                view.rollback_checkpoint(node.node_id)
-            except Exception:
-                pass  # recovery-on-open sweeps whatever rollback couldn't
-            raise
-
-    def _write_payload_or_tombstone(
-        self, view: CheckpointStore, payload: StoredPayload
-    ) -> None:
-        try:
-            self._retry.run(lambda: view.write_payload(payload))
-        except StorageError:
-            if payload.data is None:
-                raise  # it already was a tombstone; nothing left to shed
-            tombstone = StoredPayload(
-                node_id=payload.node_id,
-                key=payload.key,
-                data=None,
-                serializer=None,
-            )
-            self._retry.run(lambda: view.write_payload(tombstone))
-            self._observer.event(
-                EventType.TOMBSTONE_DEGRADED,
-                node=payload.node_id,
-                covariable=sorted(payload.key),
-                bytes_dropped=payload.size_bytes,
-            )
 
     def _view(self, session_id: str) -> CheckpointStore:
         view = self._views.get(session_id)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import json
+import warnings
 
 import pytest
 
@@ -182,20 +183,17 @@ class TestPurityRegistry:
         assert not registry.is_pure_callable("print")
 
 
-class TestDeprecationShim:
-    def test_old_import_path_warns_but_works(self):
-        from repro.core.rules import ReadOnlyCellAnalyzer as OldAnalyzer
+class TestPublicExport:
+    def test_package_analyzer_is_the_analysis_class_and_never_warns(self):
+        import repro
+        import repro.core
 
-        with pytest.warns(DeprecationWarning, match="repro.analysis"):
-            analyzer = OldAnalyzer()
+        assert repro.ReadOnlyCellAnalyzer is ReadOnlyCellAnalyzer
+        assert repro.core.ReadOnlyCellAnalyzer is ReadOnlyCellAnalyzer
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            analyzer = repro.ReadOnlyCellAnalyzer()
         assert analyzer.is_read_only("print(x)")
-        assert isinstance(analyzer, ReadOnlyCellAnalyzer)
-
-    def test_old_whitelist_reexports(self):
-        from repro.analysis.rules import PURE_BUILTINS as NEW_BUILTINS
-        from repro.core.rules import PURE_BUILTINS as OLD_BUILTINS
-
-        assert OLD_BUILTINS is NEW_BUILTINS
 
 
 class TestReporters:

@@ -33,6 +33,7 @@ from repro.core.storage import (
     SQLiteCheckpointStore,
     StoredNode,
     StoredPayload,
+    persist_checkpoint,
 )
 from repro.errors import (
     PermanentStorageError,
@@ -391,6 +392,12 @@ class TestGracefulDegradation:
 # ---------------------------------------------------------------------------
 
 
+def _payload(node_id: str) -> StoredPayload:
+    return StoredPayload(
+        node_id=node_id, key=_key({"x"}), data=b"d", serializer="primary"
+    )
+
+
 def _node(node_id: str, parent: str = "t0", timestamp: Optional[int] = None):
     return StoredNode(
         node_id=node_id,
@@ -427,26 +434,39 @@ class TestCommitProtocol:
         assert not any_store.in_checkpoint
 
     def test_checkpoint_context_manager_commits(self, any_store):
-        with any_store.checkpoint("t1"):
-            any_store.write_node(_node("t1"))
+        """``persist_checkpoint`` publishes the whole checkpoint."""
+        assert persist_checkpoint(any_store, _node("t1"), [_payload("t1")]) == []
         assert [n.node_id for n in any_store.read_nodes()] == ["t1"]
+        assert any_store.read_payload("t1", _key({"x"})).data == b"d"
+        assert not any_store.in_checkpoint
 
-    def test_checkpoint_context_manager_rolls_back_on_error(self, any_store):
+    def test_checkpoint_context_manager_rolls_back_on_error(
+        self, any_store, monkeypatch
+    ):
+        """Any Exception mid-protocol rolls the checkpoint back."""
+
+        def boom(node):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(any_store, "write_node", boom)
         with pytest.raises(RuntimeError):
-            with any_store.checkpoint("t1"):
-                any_store.write_node(_node("t1"))
-                raise RuntimeError("boom")
+            persist_checkpoint(any_store, _node("t1"), [_payload("t1")])
+        assert not any_store.in_checkpoint
         assert any_store.read_nodes() == []
+        with pytest.raises(StorageError):
+            any_store.read_payload("t1", _key({"x"}))
 
     def test_simulated_crash_escapes_context_without_rollback(self, any_store):
         """A SimulatedCrash must leave the uncommitted state in place —
         recovery, not rollback, is what cleans it."""
+        crashing = FaultInjectingStore(
+            any_store, FaultPlan(rules=(FaultRule("write_node", 0, "crash"),))
+        )
         with pytest.raises(SimulatedCrash):
-            with any_store.checkpoint("t1"):
-                any_store.write_node(_node("t1"))
-                raise SimulatedCrash("mid-checkpoint")
+            persist_checkpoint(crashing, _node("t1"), [_payload("t1")])
+        assert "rollback_checkpoint:t1" not in crashing.op_log
         assert any_store.in_checkpoint  # the "process" died holding it
-        report = any_store.recover()
+        any_store.recover()
         assert not any_store.in_checkpoint
         assert any_store.read_nodes() == []
 
@@ -581,11 +601,7 @@ class TestFaultPlanDeterminism:
 
     def test_op_log_records_fault_free_trace(self):
         store = FaultInjectingStore(InMemoryCheckpointStore())
-        with store.checkpoint("t1"):
-            store.write_payload(
-                StoredPayload(node_id="t1", key=_key({"x"}), data=b"1", serializer="p")
-            )
-            store.write_node(_node("t1"))
+        persist_checkpoint(store, _node("t1"), [_payload("t1")])
         assert store.op_log == [
             "begin_checkpoint:t1",
             "write_payload:t1",

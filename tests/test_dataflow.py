@@ -20,6 +20,31 @@ def graph_of(*sources: str) -> NotebookDataflowGraph:
     return NotebookDataflowGraph.from_sources(sources)
 
 
+def stored_lookup(stored):
+    """Payload lookup over ``{(name, index): (ref, anchor, value)}``."""
+
+    def lookup(name, upto):
+        if (name, upto) not in stored:
+            return None
+        ref, anchor, _ = stored[(name, upto)]
+        return StoredVersion(frozenset({name}), ref, anchor)
+
+    return lookup
+
+
+def run_plan(plan, cells, stored):
+    """Execute a replay plan, planting stored values for load steps."""
+    values = {(name, ref): value for (name, _), (ref, _, value) in stored.items()}
+    namespace: dict = {}
+    for step in plan.steps:
+        if step.kind == "load":
+            for name in step.names:
+                namespace[name] = list(values[(name, step.ref)])
+        else:
+            exec(cells[step.index], namespace)
+    return namespace
+
+
 class TestCellSplitting:
     def test_percent_markers_win(self):
         source = "a = 1\n# %% second\nb = a + 1\n# %%\nc = b\n"
@@ -194,16 +219,46 @@ class TestReplayPlanner:
         # (`expensive`) never became an input.
         assert "expensive" not in plan.external_inputs
 
-    def test_load_sorts_before_replay_at_same_index(self):
-        def lookup(name, upto):
-            if name == "a":
-                return StoredVersion(frozenset({"a"}), "t1", 0)
-            return None
+    def test_load_sorts_after_replay_at_same_index(self):
+        """A load anchored at a cell holds the state after that cell, so a
+        plan that also replays the cell must replay it first; the other
+        order applies the cell's in-place mutation twice."""
+        cells = ("xs = [1, 2, 3]", "xs.append(5)", "xs.append(0)")
+        stored = {("xs", 1): ("t2", 1, [1, 2, 3, 5])}
+        plan = ReplayPlanner(
+            graph_of(*cells), payload_lookup=stored_lookup(stored)
+        ).plan(["xs"])
+        assert [(step.kind, step.index) for step in plan.steps] == [
+            ("replay", 0),
+            ("replay", 1),
+            ("load", 1),
+            ("replay", 2),
+        ]
+        assert tuple(sorted(plan.steps, key=lambda s: s.sort_key)) == plan.steps
+        assert run_plan(plan, cells, stored)["xs"] == [1, 2, 3, 5, 0]
 
-        graph = graph_of("a = 1", "b = a + 1")
-        plan = ReplayPlanner(graph, payload_lookup=lookup).plan(["b"])
-        sorted_steps = sorted(plan.steps, key=lambda s: s.sort_key)
-        assert tuple(sorted_steps) == plan.steps
+    def test_later_load_does_not_cover_an_earlier_read(self):
+        """``ys = list(xs)`` reads xs as of cell 1. The load of xs after
+        cell 3 comes too late for it, so the plan must load (or replay)
+        xs as of cell 1 instead of reading the stale xs of cell 0."""
+        cells = (
+            "xs = [1]; z = 5",
+            "xs.append(2)",
+            "ys = list(xs)",
+            "xs.append(3)",
+            "ys.append(len(xs) + z)",
+        )
+        stored = {
+            ("xs", 1): ("t2", 1, [1, 2]),
+            ("xs", 2): ("t2", 1, [1, 2]),
+            ("xs", 3): ("t4", 3, [1, 2, 3]),
+            ("xs", 4): ("t4", 3, [1, 2, 3]),
+        }
+        plan = ReplayPlanner(
+            graph_of(*cells), payload_lookup=stored_lookup(stored)
+        ).plan(["ys"])
+        assert plan.is_complete and not plan.external_inputs
+        assert run_plan(plan, cells, stored)["ys"] == [1, 2, 8]
 
     def test_unresolved_target_reported_missing(self):
         graph = graph_of("x = 1")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.rules import ReadOnlyCellAnalyzer
+from repro.analysis import ReadOnlyCellAnalyzer
 from repro.core.session import KishuSession
 from repro.kernel.kernel import NotebookKernel
 

@@ -234,6 +234,36 @@ class TestCommitQueue:
         finally:
             queue.stop()
 
+    @pytest.mark.parametrize("refused", range(5))
+    def test_checkout_after_writer_tombstone_reproduces_committed_state(
+        self, refused
+    ):
+        """Only the synchronous path can mark a graph payload unstored: one
+        the writer tombstones stays ``stored=True`` in the live session,
+        so checkout must still rebuild it through recomputation."""
+        store = FaultInjectingStore(
+            InMemoryCheckpointStore(),
+            FaultPlan(rules=(FaultRule("write_payload", refused, "permanent"),)),
+        )
+        with SessionManager(store) as manager:
+            session = manager.create("a")
+            committed: Dict[str, bytes] = {}
+            for cell in (
+                "xs = [1, 2, 3]",
+                "ys = [xs, [4]]",
+                "xs.append(5)",
+                "zs = [len(xs)] * 3",
+                "ys[1].extend(zs)",
+            ):
+                session.run_cell(cell)
+                committed[session.head_id] = canonical_state(session.kernel)
+            manager.drain()
+            tombstones = manager.observer.events.of_type(EventType.TOMBSTONE_DEGRADED)
+            assert len(tombstones) == 1
+            for node_id, state in committed.items():
+                session.checkout(node_id)
+                assert canonical_state(session.kernel) == state, node_id
+
     def test_writer_crash_reported_and_lock_released(self, shared_store):
         observer = Observer()
         faulty = FaultInjectingStore(

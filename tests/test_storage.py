@@ -11,6 +11,7 @@ from repro.core.storage import (
     StoredPayload,
     decode_key,
     encode_key,
+    persist_checkpoint,
 )
 from repro.errors import StorageError
 
@@ -201,10 +202,7 @@ class TestSQLiteDurability:
             node_id="t1", key=covar_key({"cfg", "params"}), data=None, serializer=None
         )
         with SQLiteCheckpointStore(path) as store:
-            with store.checkpoint("t1"):
-                store.write_node(node)
-                store.write_payload(stored)
-                store.write_payload(tombstone)
+            persist_checkpoint(store, node, [stored, tombstone])
 
         with SQLiteCheckpointStore(path) as back:
             assert back.last_recovery is not None and back.last_recovery.clean

@@ -58,7 +58,7 @@ from typing import Callable, Dict, List, Optional, TextIO
 from repro.analysis import JsonReporter, LintEngine, Severity, TextReporter, worst_severity
 from repro.core.graph import ROOT_ID
 from repro.core.session import KishuSession
-from repro.core.storage import CheckpointStore, SQLiteCheckpointStore
+from repro.core.storage import CheckpointStore, SQLiteCheckpointStore, read_store_usage
 from repro.errors import KishuError, StoreBusyError
 from repro.kernel.kernel import NotebookKernel
 
@@ -1730,60 +1730,6 @@ def health_main(
     return 0
 
 
-def _top_snapshot(path: str) -> Dict[str, object]:
-    """One lock-free frame of a (possibly live) multi-session store.
-
-    Uses a read-only SQLite URI connection on purpose: the service
-    process holds the advisory ``.lock`` sidecar, so the strict-open
-    path would refuse with ``StoreBusyError`` — a monitor must observe
-    without ever contending for the write lock.
-    """
-    import sqlite3
-
-    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, timeout=0.5)
-    try:
-        sessions = conn.execute(
-            "SELECT session_id, notebook_path, status FROM sessions"
-            " ORDER BY session_id"
-        ).fetchall()
-        commits = dict(
-            conn.execute(
-                "SELECT session_id, COUNT(*) FROM nodes"
-                " WHERE committed = 1 GROUP BY session_id"
-            ).fetchall()
-        )
-        payload_bytes = dict(
-            conn.execute(
-                "SELECT session_id, COALESCE(SUM(LENGTH(data)), 0)"
-                " FROM payloads WHERE data IS NOT NULL GROUP BY session_id"
-            ).fetchall()
-        )
-        tombstones = dict(
-            conn.execute(
-                "SELECT session_id, COUNT(*) FROM payloads"
-                " WHERE data IS NULL GROUP BY session_id"
-            ).fetchall()
-        )
-    finally:
-        conn.close()
-    rows = [
-        {
-            "session_id": session_id,
-            "notebook_path": notebook_path,
-            "status": status,
-            "commits": commits.get(session_id, 0),
-            "payload_bytes": payload_bytes.get(session_id, 0),
-            "tombstones": tombstones.get(session_id, 0),
-        }
-        for session_id, notebook_path, status in sessions
-    ]
-    return {
-        "rows": rows,
-        "total_commits": sum(row["commits"] for row in rows),
-        "total_bytes": sum(row["payload_bytes"] for row in rows),
-    }
-
-
 def top_main(
     argv: List[str],
     stdout: Optional[TextIO] = None,
@@ -1791,12 +1737,13 @@ def top_main(
 ) -> int:
     """``repro top`` — a live terminal view over a running service store.
 
-    Polls the store read-only (never taking the cross-process write
-    lock, so it works *while* the service is writing) and renders one
-    frame per ``--interval`` seconds: per-session commit counts, payload
-    bytes, tombstones, and registry status. ``--iterations N`` renders N
-    frames and exits (the scriptable/CI form); without it, runs until
-    interrupted.
+    Polls the store read-only through
+    :func:`~repro.core.storage.read_store_usage` (never taking the
+    cross-process write lock, so it works *while* the service is writing)
+    and renders one frame per ``--interval`` seconds: per-session commit
+    counts, physical payload bytes, tombstones, and registry status.
+    ``--iterations N`` renders N frames and exits (the scriptable/CI
+    form); without it, runs until interrupted.
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
@@ -1834,7 +1781,7 @@ def top_main(
                 _time.sleep(args.interval)
             frame += 1
             try:
-                snapshot = _top_snapshot(args.store)
+                rows, total_bytes = read_store_usage(args.store)
             except sqlite3.Error as exc:
                 err.write(f"repro top: {exc}\n")
                 return 2
@@ -1842,19 +1789,19 @@ def top_main(
                 out.write("\x1b[2J\x1b[H")
             out.write(
                 f"repro top — {args.store}  frame {frame}  "
-                f"{snapshot['total_commits']} commit(s)  "
-                f"{snapshot['total_bytes']} payload byte(s)\n"
+                f"{sum(row.commits for row in rows)} commit(s)  "
+                f"{total_bytes} payload byte(s)\n"
             )
             out.write(
                 f"{'SESSION':<12} {'STATUS':<9} {'COMMITS':>7} "
                 f"{'BYTES':>12} {'TOMBS':>5}  NOTEBOOK\n"
             )
-            for row in snapshot["rows"]:  # type: ignore[union-attr]
-                notebook = row["notebook_path"] or "-"
+            for row in rows:
+                notebook = row.notebook_path or "-"
                 out.write(
-                    f"{row['session_id']:<12} {row['status']:<9} "
-                    f"{row['commits']:>7} {row['payload_bytes']:>12} "
-                    f"{row['tombstones']:>5}  {notebook}\n"
+                    f"{row.session_id:<12} {row.status:<9} "
+                    f"{row.commits:>7} {row.payload_bytes:>12} "
+                    f"{row.tombstones:>5}  {notebook}\n"
                 )
             out.flush()
     except KeyboardInterrupt:  # pragma: no cover - interactive only

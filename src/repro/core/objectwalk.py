@@ -218,14 +218,25 @@ def _code_digest(code: Optional[types.CodeType]) -> int:
     depend on allocation order. Marshal serializes the full code object
     (bytecode, constants, nested code) deterministically for a given
     interpreter version, so redefining an *identical* function is no longer
-    reported as a modification while any body change still is.
+    reported as a modification while any body change still is. The source
+    file name is blanked first, in nested code too: where the code was
+    loaded from is not its content, and it would make the digest (and
+    ``bytes_hashed``) depend on the path length.
     """
     if code is None:
         return 0
     try:
-        return digest_bytes(marshal.dumps(code))
+        return digest_bytes(marshal.dumps(_without_filename(code)))
     except ValueError:
         return digest_bytes(code.co_code)
+
+
+def _without_filename(code: types.CodeType) -> types.CodeType:
+    consts = tuple(
+        _without_filename(const) if isinstance(const, types.CodeType) else const
+        for const in code.co_consts
+    )
+    return code.replace(co_filename="", co_consts=consts)
 
 
 def _instance_visit(obj: Any) -> Visit:

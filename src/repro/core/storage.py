@@ -10,9 +10,13 @@ ones". Both backends are provided here behind one interface:
   that want to isolate algorithmic costs from disk I/O.
 
 A store holds (a) node metadata rows — enough to rebuild the checkpoint
-graph after a restart — and (b) payload rows: one pickled blob per
-versioned co-variable, or a tombstone for payloads that failed to
-serialize.
+graph after a restart — and (b) one payload per versioned co-variable:
+its pickled bytes, or a tombstone for payloads that failed to serialize.
+Callers always pass and receive whole payload bytes. The SQLite backend
+stores them as content-addressed blocks (DESIGN.md §6): each payload is
+cut into fixed :data:`BLOCK_BYTES` blocks kept once per distinct content
+in a ``blocks`` table shared by every session, so a small in-place edit
+to a large object stores one new block, not the whole object again.
 
 Sessions
 --------
@@ -59,6 +63,8 @@ is never interleaved with writes or reads from another.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import os
 import sqlite3
 import threading
@@ -85,8 +91,14 @@ DEFAULT_SESSION_ID = "default"
 
 #: Current durable schema version (``PRAGMA user_version``).
 #: v0 = pre-durability (no ``committed`` column); v1 = committed marker;
-#: v2 = per-session namespacing (``sessions`` table + ``session_id``).
-SCHEMA_VERSION = 2
+#: v2 = per-session namespacing (``sessions`` table + ``session_id``);
+#: v3 = payload bytes in content-addressed blocks.
+SCHEMA_VERSION = 3
+
+#: Size of one payload block in the SQLite store. Fixed blocks keep an
+#: in-place edit or an append to one or two new blocks; an insertion
+#: shifts every later block (DESIGN.md §6).
+BLOCK_BYTES = 64 * 1024
 
 
 def encode_key(key: CoVarKey) -> str:
@@ -199,6 +211,9 @@ class CheckpointStore:
         raise NotImplementedError
 
     def total_payload_bytes(self) -> int:
+        """Physical bytes this session's payloads occupy in the backend:
+        the SQLite store counts each distinct block once, the in-memory
+        store sums whole payloads. Tombstones count zero."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -646,6 +661,162 @@ class InMemoryCheckpointStore(CheckpointStore):
         return self._record_recovery(report)
 
 
+#: Rebuilds payloads from their blocks in one query: one row per block in
+#: order, or one row with NULL data for a tombstone or an empty payload.
+_READ_PAYLOADS = (
+    "SELECT p.covar_key, p.size, p.serializer, b.data FROM payloads p"
+    " LEFT JOIN payload_blocks pb USING (session_id, node_id, covar_key)"
+    " LEFT JOIN blocks b USING (digest)"
+    " WHERE p.session_id = ? AND p.node_id = ?"
+)
+
+
+def _put_payload(
+    conn: sqlite3.Connection,
+    session_id: str,
+    node_id: str,
+    encoded_key: str,
+    data: Optional[bytes],
+    serializer: Optional[str],
+) -> None:
+    """Store one payload's rows: its blocks (each distinct block once),
+    their order, and the size/serializer row. Caller owns the transaction.
+    Overwriting a payload collects the blocks only it referenced."""
+    owner = (session_id, node_id, encoded_key)
+    replaced = conn.execute(
+        "DELETE FROM payload_blocks"
+        " WHERE session_id = ? AND node_id = ? AND covar_key = ?",
+        owner,
+    ).rowcount
+    size = None
+    if data is not None:
+        size = len(data)
+        view = memoryview(data)
+        chunks = [view[at : at + BLOCK_BYTES] for at in range(0, size, BLOCK_BYTES)]
+        digests = [hashlib.sha256(chunk).digest() for chunk in chunks]
+        conn.executemany(
+            "INSERT OR IGNORE INTO blocks VALUES (?, ?)", zip(digests, chunks)
+        )
+        conn.executemany(
+            "INSERT INTO payload_blocks VALUES (?, ?, ?, ?, ?)",
+            [(*owner, seq, digest) for seq, digest in enumerate(digests)],
+        )
+    conn.execute(
+        "INSERT OR REPLACE INTO payloads VALUES (?, ?, ?, ?, ?)",
+        (*owner, size, serializer),
+    )
+    if replaced:
+        _collect_garbage(conn)
+
+
+def _collect_garbage(conn: sqlite3.Connection) -> None:
+    """Delete block-order rows whose payload is gone, then every block no
+    row references. Caller owns the transaction."""
+    conn.execute(
+        "DELETE FROM payload_blocks WHERE NOT EXISTS (SELECT 1 FROM payloads p"
+        " WHERE p.session_id = payload_blocks.session_id"
+        " AND p.node_id = payload_blocks.node_id"
+        " AND p.covar_key = payload_blocks.covar_key)"
+    )
+    conn.execute(
+        "DELETE FROM blocks WHERE digest NOT IN (SELECT digest FROM payload_blocks)"
+    )
+
+
+def _assemble(node_id: str, rows: List[Tuple]) -> StoredPayload:
+    """One payload from its :data:`_READ_PAYLOADS` rows, checked against
+    the stored size so a lost block is an error, not short bytes."""
+    encoded, size, serializer = rows[0][:3]
+    key = decode_key(encoded)
+    data = None
+    if size is not None:
+        data = b"".join(row[3] for row in rows if row[3] is not None)
+        if len(data) != size:
+            raise StorageError(
+                f"payload for co-variable {sorted(key)} at node {node_id} is"
+                f" missing blocks ({len(data)} of {size} bytes)"
+            )
+    return StoredPayload(node_id=node_id, key=key, data=data, serializer=serializer)
+
+
+def _session_bytes(
+    conn: sqlite3.Connection, session_id: Optional[str] = None
+) -> Dict[str, int]:
+    """Physical payload bytes per session (each distinct block a session
+    references counts once), for one session or all of them."""
+    where, params = ("", ())
+    if session_id is not None:
+        where, params = "WHERE session_id = ?", (session_id,)
+    return dict(
+        conn.execute(
+            "SELECT pb.session_id, SUM(LENGTH(b.data)) FROM"
+            f" (SELECT DISTINCT session_id, digest FROM payload_blocks {where}) pb"
+            " JOIN blocks b USING (digest) GROUP BY pb.session_id",
+            params,
+        ).fetchall()
+    )
+
+
+@dataclass(frozen=True)
+class SessionUsage:
+    """One session's row in :func:`read_store_usage`."""
+
+    session_id: str
+    notebook_path: Optional[str]
+    status: str
+    commits: int
+    payload_bytes: int  # physical, as total_payload_bytes() counts them
+    tombstones: int
+
+
+def read_store_usage(path: str) -> Tuple[List[SessionUsage], int]:
+    """Per-session commits, payload bytes and tombstones of a SQLite store
+    file, plus the physical bytes of all its blocks (a block shared by
+    sessions counts in each of their rows but once in the total).
+
+    Opens a read-only connection and takes no advisory lock, so it can
+    watch a store another process is writing (``repro top``); it sees
+    committed transactions only. Raises :class:`sqlite3.Error` for
+    unreadable files.
+    """
+    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, timeout=0.5)
+    try:
+        sessions = conn.execute(
+            "SELECT session_id, notebook_path, status FROM sessions"
+            " ORDER BY session_id"
+        ).fetchall()
+        commits = dict(
+            conn.execute(
+                "SELECT session_id, COUNT(*) FROM nodes"
+                " WHERE committed = 1 GROUP BY session_id"
+            ).fetchall()
+        )
+        payload_bytes = _session_bytes(conn)
+        tombstones = dict(
+            conn.execute(
+                "SELECT session_id, COUNT(*) FROM payloads"
+                " WHERE size IS NULL GROUP BY session_id"
+            ).fetchall()
+        )
+        (total,) = conn.execute(
+            "SELECT COALESCE(SUM(LENGTH(data)), 0) FROM blocks"
+        ).fetchone()
+    finally:
+        conn.close()
+    rows = [
+        SessionUsage(
+            session_id=session_id,
+            notebook_path=notebook_path,
+            status=status,
+            commits=commits.get(session_id, 0),
+            payload_bytes=payload_bytes.get(session_id, 0),
+            tombstones=tombstones.get(session_id, 0),
+        )
+        for session_id, notebook_path, status in sessions
+    ]
+    return rows, total
+
+
 #: Process-local registry of held advisory store locks: realpath of the
 #: database → ``[lock fd, refcount]``. ``flock`` locks are per open file
 #: description, so a second in-process open of the same database must
@@ -731,8 +902,13 @@ class SQLiteCheckpointStore(CheckpointStore):
 
     Pass ``":memory:"`` for an ephemeral database or a path for a durable
     one. The schema is normalized: ``sessions``, ``nodes``,
-    ``node_deletes``, ``node_deps``, and ``payloads``; every data row
-    carries a ``session_id``.
+    ``node_deletes``, ``node_deps``, ``payloads``, ``payload_blocks`` and
+    ``blocks``; every row but a block's carries a ``session_id``.
+
+    Payload bytes live in content-addressed blocks: ``payloads`` keeps a
+    payload's size (NULL for a tombstone) and serializer,
+    ``payload_blocks`` its ordered block digests, and ``blocks`` one row
+    per distinct SHA-256 digest, shared across versions and sessions.
 
     Checkpoint atomicity: ``begin_checkpoint`` opens one SQLite
     transaction; node rows written inside it carry ``committed = 0``
@@ -782,21 +958,34 @@ class SQLiteCheckpointStore(CheckpointStore):
                 session_id TEXT NOT NULL DEFAULT 'default',
                 node_id    TEXT NOT NULL,
                 covar_key  TEXT NOT NULL,
-                data       BLOB,
+                size       INTEGER,
                 serializer TEXT,
                 PRIMARY KEY (session_id, node_id, covar_key)
+            )""",
+        "payload_blocks": """
+            CREATE TABLE IF NOT EXISTS payload_blocks (
+                session_id TEXT NOT NULL,
+                node_id    TEXT NOT NULL,
+                covar_key  TEXT NOT NULL,
+                seq        INTEGER NOT NULL,
+                digest     BLOB NOT NULL,
+                PRIMARY KEY (session_id, node_id, covar_key, seq)
+            ) WITHOUT ROWID""",
+        "blocks": """
+            CREATE TABLE IF NOT EXISTS blocks (
+                digest BLOB PRIMARY KEY,
+                data   BLOB NOT NULL
             )""",
     }
     _INDEXES = (
         "CREATE INDEX IF NOT EXISTS idx_payloads_node"
         " ON payloads (session_id, node_id)",
     )
-    #: v1 column lists, used to carry rows through the v1→v2 rebuild.
+    #: v1 column lists, used to carry rows through the v1 rebuild.
     _V1_COLUMNS = {
         "nodes": "node_id, parent_id, timestamp, execution_count, cell_source, committed",
         "node_deletes": "node_id, covar_key",
         "node_deps": "node_id, covar_key, ref_node",
-        "payloads": "node_id, covar_key, data, serializer",
     }
 
     def __init__(
@@ -847,9 +1036,9 @@ class SQLiteCheckpointStore(CheckpointStore):
         """Bring older databases up to the current schema in place.
 
         v0 (pre-durability, no ``committed`` column) gains the marker with
-        rows presumed committed; v1 (single-session) is rebuilt with
-        ``session_id`` namespacing, its history assigned to the
-        ``"default"`` session. Fresh databases are created at v2 directly.
+        rows presumed committed; v1 (single-session) and v2 (whole payload
+        bytes in ``payloads.data``) are rebuilt by :meth:`_rebuild`. Fresh
+        databases are created at the current version directly.
         """
         existing = {
             row[0]
@@ -865,36 +1054,48 @@ class SQLiteCheckpointStore(CheckpointStore):
                 conn.execute(
                     "ALTER TABLE nodes ADD COLUMN committed INTEGER NOT NULL DEFAULT 1"
                 )
-            if "session_id" not in columns:
-                self._rebuild_v1_to_v2(conn)
+            payload_columns = {
+                row[1] for row in conn.execute("PRAGMA table_info(payloads)")
+            }
+            if "session_id" not in columns or "data" in payload_columns:
+                self._rebuild(conn, from_v1="session_id" not in columns)
         for ddl in self._TABLES.values():
             conn.execute(ddl)
         for ddl in self._INDEXES:
             conn.execute(ddl)
         conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
-    def _rebuild_v1_to_v2(self, conn: sqlite3.Connection) -> None:
-        """One transaction: rename old tables aside, create the namespaced
-        shape, copy rows under the default session preserving rowid order,
-        drop the old tables."""
-        tables = tuple(self._V1_COLUMNS)
+    def _rebuild(self, conn: sqlite3.Connection, *, from_v1: bool) -> None:
+        """One transaction: rename the old tables aside, create the current
+        shape, copy rows in rowid order — v1 rows under the default
+        session, each payload's bytes cut into blocks — and drop the old
+        tables. A crash anywhere leaves the old schema, migrated again on
+        the next open."""
+        legacy = tuple(self._V1_COLUMNS) if from_v1 else ()
         conn.execute("BEGIN IMMEDIATE")
         try:
-            for table in tables:
-                conn.execute(f"ALTER TABLE {table} RENAME TO {table}_v1")
+            for table in (*legacy, "payloads"):
+                conn.execute(f"ALTER TABLE {table} RENAME TO {table}_old")
             conn.execute("DROP INDEX IF EXISTS idx_payloads_node")
-            for table in tables:
-                # Strip IF NOT EXISTS semantics are fine: the originals
-                # were just renamed away.
-                conn.execute(self._TABLES[table])
-            for table, columns in self._V1_COLUMNS.items():
+            for ddl in self._TABLES.values():
+                conn.execute(ddl)
+            for table in legacy:
+                columns = self._V1_COLUMNS[table]
                 conn.execute(
                     f"INSERT INTO {table} (session_id, {columns})"
-                    f" SELECT ?, {columns} FROM {table}_v1 ORDER BY rowid",
+                    f" SELECT ?, {columns} FROM {table}_old ORDER BY rowid",
                     (DEFAULT_SESSION_ID,),
                 )
-            for table in tables:
-                conn.execute(f"DROP TABLE {table}_v1")
+            session = "?" if from_v1 else "session_id"
+            rows = conn.execute(
+                f"SELECT {session}, node_id, covar_key, data, serializer"
+                " FROM payloads_old ORDER BY rowid",
+                (DEFAULT_SESSION_ID,) if from_v1 else (),
+            )
+            for row in rows:
+                _put_payload(conn, *row)
+            for table in (*legacy, "payloads"):
+                conn.execute(f"DROP TABLE {table}_old")
         except BaseException:
             conn.execute("ROLLBACK")
             raise
@@ -1033,15 +1234,13 @@ class SQLiteCheckpointStore(CheckpointStore):
 
     def write_payload(self, payload: StoredPayload) -> None:
         with self._write_scope():
-            self._conn.execute(
-                "INSERT OR REPLACE INTO payloads VALUES (?, ?, ?, ?, ?)",
-                (
-                    self.session_id,
-                    payload.node_id,
-                    encode_key(payload.key),
-                    payload.data,
-                    payload.serializer,
-                ),
+            _put_payload(
+                self._conn,
+                self.session_id,
+                payload.node_id,
+                encode_key(payload.key),
+                payload.data,
+                payload.serializer,
             )
 
     # -- atomic checkpoint protocol --------------------------------------------
@@ -1088,10 +1287,9 @@ class SQLiteCheckpointStore(CheckpointStore):
             backend.txn_node = None
             backend.txn_session = None
             # Belt-and-braces: if any rows for this checkpoint reached disk
-            # outside the transaction, remove them now.
-            self._sweep_nodes(
-                [(self.session_id, node_id)], only_uncommitted=True
-            )
+            # outside the transaction, remove them now (blocks they alone
+            # referenced are collected by the next recover()).
+            self._sweep_nodes([(self.session_id, node_id)])
             self._release_txn_hold()
 
     def release_crashed_checkpoint(self) -> None:
@@ -1169,43 +1367,35 @@ class SQLiteCheckpointStore(CheckpointStore):
 
     def read_payload(self, node_id: str, key: CoVarKey) -> StoredPayload:
         with self._backend.lock:
-            row = self._conn.execute(
-                "SELECT data, serializer FROM payloads"
-                " WHERE session_id = ? AND node_id = ? AND covar_key = ?",
+            rows = self._conn.execute(
+                _READ_PAYLOADS + " AND p.covar_key = ? ORDER BY pb.seq",
                 (self.session_id, node_id, encode_key(key)),
-            ).fetchone()
-        if row is None:
+            ).fetchall()
+        if not rows:
             raise StorageError(
                 f"no payload for co-variable {sorted(key)} at node {node_id}"
             )
-        data, serializer = row
-        return StoredPayload(node_id=node_id, key=key, data=data, serializer=serializer)
+        return _assemble(node_id, rows)
 
     def payloads_of(self, node_id: str) -> List[StoredPayload]:
         with self._backend.lock:
             rows = self._conn.execute(
-                "SELECT covar_key, data, serializer FROM payloads"
-                " WHERE session_id = ? AND node_id = ?",
+                _READ_PAYLOADS + " ORDER BY p.rowid, pb.seq",
                 (self.session_id, node_id),
             ).fetchall()
         return [
-            StoredPayload(
-                node_id=node_id,
-                key=decode_key(encoded),
-                data=data,
-                serializer=serializer,
-            )
-            for encoded, data, serializer in rows
+            _assemble(node_id, list(group))
+            for _, group in itertools.groupby(rows, key=lambda row: row[0])
         ]
 
     def total_payload_bytes(self) -> int:
+        """Physical bytes of this session's payloads: each distinct block
+        the session references counts once, however many versions share
+        it. Blocks shared with other sessions count in each of them."""
         with self._backend.lock:
-            row = self._conn.execute(
-                "SELECT COALESCE(SUM(LENGTH(data)), 0) FROM payloads"
-                " WHERE session_id = ? AND data IS NOT NULL",
-                (self.session_id,),
-            ).fetchone()
-        return int(row[0])
+            return _session_bytes(self._conn, self.session_id).get(
+                self.session_id, 0
+            )
 
     # -- durability ------------------------------------------------------------
 
@@ -1225,12 +1415,15 @@ class SQLiteCheckpointStore(CheckpointStore):
     # -- recovery --------------------------------------------------------------
 
     def recover(self) -> RecoveryReport:
-        """Sweep uncommitted nodes and orphan payloads; runs on every open.
+        """Sweep uncommitted nodes and orphan payloads, then collect
+        garbage blocks; runs on every open.
 
         The sweep is global — torn state from *any* session is crash
         debris. An open checkpoint transaction at recovery time is itself
         crash debris (the writer died holding it): it is rolled back — the
         same outcome a dropped connection produces — before the sweep.
+        Then ``payload_blocks`` rows whose payload is gone are deleted,
+        and every block no remaining row references.
         """
         backend = self._backend
         with backend.lock:
@@ -1253,14 +1446,15 @@ class SQLiteCheckpointStore(CheckpointStore):
                 "  AND n.committed = 1)"
                 " ORDER BY session_id, node_id, covar_key"
             ).fetchall()
-            if swept or orphans:
-                with self._write_scope():
-                    self._sweep_nodes(swept, only_uncommitted=True)
+            with self._write_scope():
+                self._sweep_nodes(swept)
+                if orphans:
                     self._conn.execute(
                         "DELETE FROM payloads WHERE NOT EXISTS"
                         " (SELECT 1 FROM nodes n WHERE n.session_id = payloads.session_id"
                         "  AND n.node_id = payloads.node_id)"
                     )
+                _collect_garbage(self._conn)
         report = RecoveryReport(
             swept_nodes=tuple(_public_id(sid, nid) for sid, nid in swept),
             orphan_payloads=tuple(
@@ -1269,27 +1463,21 @@ class SQLiteCheckpointStore(CheckpointStore):
         )
         return self._record_recovery(report)
 
-    def _sweep_nodes(
-        self, keys: List[Tuple[str, str]], *, only_uncommitted: bool
-    ) -> None:
+    def _sweep_nodes(self, keys: List[Tuple[str, str]]) -> None:
+        """Delete uncommitted node rows and, where no node row remains,
+        every row keyed by that node id."""
         for session_id, node_id in keys:
-            if only_uncommitted:
-                self._conn.execute(
-                    "DELETE FROM nodes WHERE session_id = ? AND node_id = ?"
-                    " AND committed = 0",
-                    (session_id, node_id),
-                )
-            else:
-                self._conn.execute(
-                    "DELETE FROM nodes WHERE session_id = ? AND node_id = ?",
-                    (session_id, node_id),
-                )
+            self._conn.execute(
+                "DELETE FROM nodes WHERE session_id = ? AND node_id = ?"
+                " AND committed = 0",
+                (session_id, node_id),
+            )
             still_there = self._conn.execute(
                 "SELECT 1 FROM nodes WHERE session_id = ? AND node_id = ?",
                 (session_id, node_id),
             ).fetchone()
             if still_there is None:
-                for table in ("node_deletes", "node_deps", "payloads"):
+                for table in ("node_deletes", "node_deps", "payloads", "payload_blocks"):
                     self._conn.execute(
                         f"DELETE FROM {table} WHERE session_id = ? AND node_id = ?",
                         (session_id, node_id),

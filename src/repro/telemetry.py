@@ -27,9 +27,10 @@ before the work and :meth:`WalkTelemetry.since` after; the resulting
 ``benchmarks/test_ablation_incremental_walk.py`` microbenchmark.
 
 ``bytes_hashed`` is recorded at the hashing layer, which has no builder in
-scope; builders declare themselves the *active* telemetry for the duration
-of a build (:func:`activate` / :func:`deactivate`), and unattributed
-hashing lands on the module-wide :data:`GLOBAL_TELEMETRY`.
+scope; builders declare themselves the calling thread's *active*
+telemetry for the duration of a build (:func:`activate` /
+:func:`deactivate`), and unattributed hashing lands on the module-wide
+:data:`GLOBAL_TELEMETRY`.
 
 Since the observability layer (DESIGN.md §11) this module sits *on top
 of* :mod:`repro.obs`: :class:`AnalysisStats` and :class:`PlanStats` are
@@ -46,6 +47,7 @@ registry in one batch via :func:`publish_walk_stats`.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -340,28 +342,31 @@ def publish_walk_stats(registry: MetricsRegistry, stats: "WalkStats") -> None:
 #: digest calls from tests or library fast paths).
 GLOBAL_TELEMETRY = WalkTelemetry()
 
-_active: WalkTelemetry = GLOBAL_TELEMETRY
+#: The telemetry hashing reports to, per thread (and per asyncio task):
+#: the service's thread fleet builds VarGraphs concurrently, so one
+#: process-wide sink would credit one session's bytes to another.
+_ACTIVE: ContextVar[WalkTelemetry] = ContextVar(
+    "active_walk_telemetry", default=GLOBAL_TELEMETRY
+)
 
 
 def activate(telemetry: WalkTelemetry) -> WalkTelemetry:
-    """Make ``telemetry`` the recipient of hashing-layer counts.
+    """Make ``telemetry`` the recipient of this thread's hashing-layer
+    counts.
 
     Returns the previously active telemetry, which the caller must restore
-    with :func:`deactivate` (builds never run concurrently within one
-    interpreter, so a save/restore pair is sufficient and cheaper than a
-    context variable on this hot path).
+    with :func:`deactivate`. The pair only affects the calling thread, so
+    builds on other threads keep their own sinks.
     """
-    global _active
-    previous = _active
-    _active = telemetry
+    previous = _ACTIVE.get()
+    _ACTIVE.set(telemetry)
     return previous
 
 
 def deactivate(previous: WalkTelemetry) -> None:
-    global _active
-    _active = previous
+    _ACTIVE.set(previous)
 
 
 def count_bytes_hashed(n: int) -> None:
     """Called by the hashing layer for every buffer it digests."""
-    _active.bytes_hashed += n
+    _ACTIVE.get().bytes_hashed += n

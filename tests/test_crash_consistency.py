@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 
 from test_oracle import canonical_state, generate_cell
+from test_storage import assert_blocks_consistent
 
 from repro.core.graph import ROOT_ID
 from repro.core.retry import RetryPolicy
@@ -193,6 +194,43 @@ class TestKillPointEnumeration:
             report = recovered.last_recovery
             assert report is not None
             assert_recovery_invariants(recovered, partial_oracle)
+            recovered.close()
+
+    def test_every_kill_point_sqlite_shared_blocks(self, tmp_path):
+        """A co-variable of several payload blocks, edited in place and
+        appended to, so consecutive nodes share blocks: every crash point
+        recovers to a valid prefix, and recovery leaves every block
+        referenced and every block list owned by a payload."""
+        cells = [
+            "buf = bytearray((i * 7919) % 251 for i in range(200_000))",
+            "buf[70_000] ^= 0xFF",
+            "buf.extend(b'tail')",
+            "note = [len(buf)]",
+            "buf[150_000:150_004] = b'edit'",
+            "buf.extend(bytes(70_000))",
+        ]
+        probe = FaultInjectingStore(SQLiteCheckpointStore(":memory:"))
+        _, oracle, crash = run_workload(cells, probe)
+        assert crash is None
+        conn = probe.inner._conn
+        (references,) = conn.execute("SELECT COUNT(*) FROM payload_blocks").fetchone()
+        (blocks,) = conn.execute("SELECT COUNT(*) FROM blocks").fetchone()
+        assert blocks >= 4 and references > blocks, "nodes must share blocks"
+        total_ops = probe.checkpoint_op_count()
+        probe.close()
+
+        for kill_point in range(total_ops):
+            path = str(tmp_path / f"kp{kill_point}.db")
+            store = FaultInjectingStore(
+                SQLiteCheckpointStore(path),
+                FaultPlan.crash_at_checkpoint_op(kill_point),
+            )
+            _, partial_oracle, crash = run_workload(cells, store)
+            assert crash is not None
+            recovered = reopened(store, path)
+            assert recovered.last_recovery is not None
+            assert_recovery_invariants(recovered, partial_oracle)
+            assert_blocks_consistent(recovered)
             recovered.close()
 
     def test_torn_write_after_k_payloads(self):
@@ -527,8 +565,12 @@ class TestSQLiteCrashDurability:
             "INSERT INTO nodes VALUES ('default', 't5', 't0', 5, 5, 'torn', 0)"
         )
         store._conn.execute(
-            "INSERT INTO payloads VALUES ('default', 't5', 'v', X'00', 'primary')"
+            "INSERT INTO payloads VALUES ('default', 't5', 'v', 1, 'primary')"
         )
+        store._conn.execute(
+            "INSERT INTO payload_blocks VALUES ('default', 't5', 'v', 0, X'AB')"
+        )
+        store._conn.execute("INSERT INTO blocks VALUES (X'AB', X'00')")
         store.close()
 
         reopened_store = SQLiteCheckpointStore(path)
@@ -536,6 +578,9 @@ class TestSQLiteCrashDurability:
         assert report is not None and report.swept_nodes == ("t5",)
         assert reopened_store.read_nodes() == []
         assert reopened_store.payloads_of("t5") == []
+        assert_blocks_consistent(reopened_store)
+        (blocks,) = reopened_store._conn.execute("SELECT COUNT(*) FROM blocks").fetchone()
+        assert blocks == 0
         reopened_store.close()
 
     def test_pre_durability_database_migrates(self, tmp_path):

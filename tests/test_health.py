@@ -685,6 +685,44 @@ class TestTopCli:
         assert "repro top" in text and "1 commit(s)" in text
         assert "default" in text
 
+    def test_bytes_are_each_sessions_physical_total(self, tmp_path):
+        """Two sessions and two versions share blocks: each row shows
+        the session's total_payload_bytes(), and the header counts every
+        shared block once."""
+        import io
+        import random
+
+        from repro.cli import top_main
+        from repro.core.storage import (
+            BLOCK_BYTES,
+            SQLiteCheckpointStore,
+            StoredNode,
+            StoredPayload,
+            persist_checkpoint,
+        )
+
+        first = random.Random(0).randbytes(3 * BLOCK_BYTES)
+        second = first[:-4] + b"edit"
+        path = str(tmp_path / "store.db")
+        store = SQLiteCheckpointStore(path)
+        expected = {}
+        for session_id, versions in (("alpha", [first, second]), ("beta", [first])):
+            view = store.for_session(session_id)
+            for number, data in enumerate(versions, 1):
+                node = StoredNode(f"t{number}", None, number, number, "x = f()", (), ())
+                payload = StoredPayload(node.node_id, frozenset({"x"}), data, "pickle")
+                persist_checkpoint(view, node, [payload])
+            expected[session_id] = view.total_payload_bytes()
+        store.close()
+        assert expected == {"alpha": 4 * BLOCK_BYTES, "beta": 3 * BLOCK_BYTES}
+
+        out, err = io.StringIO(), io.StringIO()
+        assert top_main(["--store", path, "--iterations", "1"], out, err) == 0
+        header, _, *lines = out.getvalue().splitlines()
+        assert f"3 commit(s)  {4 * BLOCK_BYTES} payload byte(s)" in header
+        shown = {line.split()[0]: int(line.split()[3]) for line in lines}
+        assert shown == {"alpha": expected["alpha"], "beta": expected["beta"], "default": 0}
+
     def test_missing_store(self, tmp_path):
         import io
 

@@ -16,6 +16,8 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,8 @@ from repro.core.delta import DeltaDetector
 from repro.core.objectwalk import DEFAULT_POLICY, Visit
 from repro.core.vargraph import SubtreeCache, VarGraphBuilder, _CacheEntry, GraphNode
 from repro.kernel.kernel import NotebookKernel
+from repro import telemetry
+from repro.core.hashing import digest_bytes
 
 
 def _entry(root, nodes=1, extra_ids=()):
@@ -275,3 +279,48 @@ class TestIncrementalEquivalence:
                 assert cold_graph.id_set == warm_graph.id_set
                 assert cold_graph.opaque == warm_graph.opaque
                 assert cold_graph.truncated == warm_graph.truncated
+
+
+def _active_telemetry() -> telemetry.WalkTelemetry:
+    """The calling thread's active sink, read by an activate/deactivate pair."""
+    previous = telemetry.activate(telemetry.WalkTelemetry())
+    telemetry.deactivate(previous)
+    return previous
+
+
+class TestActiveTelemetryPerThread:
+    def test_interleaved_threads_keep_their_own_sink(self):
+        """Two threads' activate → hash → deactivate pairs, interleaved
+        by events: each thread's bytes land in its own telemetry, and
+        neither thread's sink stays active afterwards."""
+        sinks = {"a": telemetry.WalkTelemetry(), "b": telemetry.WalkTelemetry()}
+        a_active, b_active, a_done = (threading.Event() for _ in range(3))
+        after = {}
+
+        def thread_a():
+            previous = telemetry.activate(sinks["a"])
+            a_active.set()
+            b_active.wait(timeout=10)
+            digest_bytes(b"abc")
+            telemetry.deactivate(previous)
+            a_done.set()
+
+        def thread_b():
+            a_active.wait(timeout=10)
+            previous = telemetry.activate(sinks["b"])
+            b_active.set()
+            a_done.wait(timeout=10)
+            digest_bytes(b"12345")
+            telemetry.deactivate(previous)
+            after["b"] = _active_telemetry()
+
+        workers = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert sinks["a"].bytes_hashed == 3
+        assert sinks["b"].bytes_hashed == 5
+        assert after["b"] is telemetry.GLOBAL_TELEMETRY
+        assert _active_telemetry() is telemetry.GLOBAL_TELEMETRY

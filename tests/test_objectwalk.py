@@ -7,7 +7,8 @@ import types
 import numpy as np
 import pytest
 
-from repro.core.objectwalk import DEFAULT_POLICY, TraversalPolicy, Visit
+from repro.core.objectwalk import DEFAULT_POLICY, TraversalPolicy, Visit, _code_digest
+from repro.core.vargraph import VarGraphBuilder
 
 
 @pytest.fixture
@@ -139,6 +140,27 @@ class TestFunctions:
         owner = Owner()
         visit = policy.visit(owner.method)
         assert owner in visit.children
+
+    def test_code_digest_ignores_the_source_path(self):
+        """One source loaded from paths of different lengths has one
+        digest, and walking it hashes the same number of bytes, nested
+        code included."""
+        source = (
+            "def f(xs):\n"
+            "    def g(y):\n"
+            "        return [z * 2 for z in y]\n"
+            "    return g(xs)\n"
+        )
+        seen = []
+        for filename in ("a.py", "/a/much/longer/path/to/the/same/module.py"):
+            namespace = {}
+            exec(compile(source, filename, "exec"), namespace)
+            function = namespace["f"]
+            builder = VarGraphBuilder()
+            builder.build("f", function)
+            seen.append((_code_digest(function.__code__), builder.telemetry.bytes_hashed))
+        assert seen[0] == seen[1]
+        assert seen[0][1] > 0
 
 
 class TestRegistration:

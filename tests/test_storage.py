@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.covariable import covar_key
 from repro.core.storage import (
+    BLOCK_BYTES,
+    SCHEMA_VERSION,
     SQLiteCheckpointStore,
     StoredNode,
     StoredPayload,
@@ -14,6 +18,22 @@ from repro.core.storage import (
     persist_checkpoint,
 )
 from repro.errors import StorageError
+
+
+def assert_blocks_consistent(store: SQLiteCheckpointStore) -> None:
+    """The block store's own invariants: every block is referenced by some
+    payload's block list, and every block-list row belongs to a payload."""
+    conn = store._conn
+    (unreferenced,) = conn.execute(
+        "SELECT COUNT(*) FROM blocks"
+        " WHERE digest NOT IN (SELECT digest FROM payload_blocks)"
+    ).fetchone()
+    (homeless,) = conn.execute(
+        "SELECT COUNT(*) FROM payload_blocks pb WHERE NOT EXISTS"
+        " (SELECT 1 FROM payloads p WHERE p.session_id = pb.session_id"
+        " AND p.node_id = pb.node_id AND p.covar_key = pb.covar_key)"
+    ).fetchone()
+    assert (unreferenced, homeless) == (0, 0)
 
 
 def make_node(node_id="t1", parent="t0"):
@@ -143,15 +163,63 @@ class TestStoreParity:
 
     def test_payload_overwrite_replaces(self, any_store):
         key = covar_key({"x"})
+        shared = bytes(BLOCK_BYTES)  # a block both versions reference
         any_store.write_payload(
-            StoredPayload(node_id="t1", key=key, data=b"old", serializer="primary")
+            StoredPayload(node_id="t1", key=key, data=shared + b"old", serializer="primary")
         )
         any_store.write_payload(
-            StoredPayload(node_id="t1", key=key, data=b"newer", serializer="fallback")
+            StoredPayload(node_id="t1", key=key, data=shared + b"newer", serializer="fallback")
         )
         read = any_store.read_payload("t1", key)
-        assert read.data == b"newer"
+        assert read.data == shared + b"newer"
         assert read.serializer == "fallback"
+        if isinstance(any_store, SQLiteCheckpointStore):
+            assert_blocks_consistent(any_store)
+            assert any_store.total_payload_bytes() == len(shared + b"newer")
+
+    @pytest.mark.parametrize(
+        "size", [0, 1, BLOCK_BYTES - 1, BLOCK_BYTES, BLOCK_BYTES + 1, 3 * BLOCK_BYTES]
+    )
+    def test_payload_sizes_round_trip(self, any_store, size):
+        data = bytes(i % 251 for i in range(size))
+        any_store.write_payload(StoredPayload("t1", covar_key({"x"}), data, "primary"))
+        any_store.write_payload(StoredPayload("t1", covar_key({"y"}), None, None))
+        assert any_store.read_payload("t1", covar_key({"x"})).data == data
+        assert {p.key: p.data for p in any_store.payloads_of("t1")} == {
+            covar_key({"x"}): data,
+            covar_key({"y"}): None,
+        }
+
+
+class TestPayloadBlocks:
+    def test_identical_blocks_are_stored_once(self):
+        """Versions and sessions that share content share blocks, and
+        each session's physical total counts a shared block once."""
+        data = random.Random(0).randbytes(3 * BLOCK_BYTES)
+        edited = data[:BLOCK_BYTES] + b"!" + data[BLOCK_BYTES + 1 :]
+        store = SQLiteCheckpointStore(":memory:")
+        other = store.for_session("other")
+        store.write_payload(StoredPayload("t1", covar_key({"x"}), data, "primary"))
+        store.write_payload(StoredPayload("t2", covar_key({"x"}), edited, "primary"))
+        other.write_payload(StoredPayload("t1", covar_key({"x"}), data, "primary"))
+        assert store.read_payload("t2", covar_key({"x"})).data == edited
+        (blocks,) = store._conn.execute("SELECT COUNT(*) FROM blocks").fetchone()
+        assert blocks == 4
+        assert store.total_payload_bytes() == 4 * BLOCK_BYTES
+        assert other.total_payload_bytes() == 3 * BLOCK_BYTES
+        store.close()
+
+    def test_missing_block_is_an_error(self):
+        store = SQLiteCheckpointStore(":memory:")
+        store.write_payload(
+            StoredPayload("t1", covar_key({"x"}), bytes(BLOCK_BYTES + 5), "primary")
+        )
+        store._conn.execute("DELETE FROM blocks WHERE length(data) = 5")
+        with pytest.raises(StorageError, match="missing blocks"):
+            store.read_payload("t1", covar_key({"x"}))
+        with pytest.raises(StorageError, match="missing blocks"):
+            store.payloads_of("t1")
+        store.close()
 
 
 class TestSQLiteDurability:
@@ -368,7 +436,7 @@ class TestSchemaMigration:
             assert dict(read_t2.dependencies) == {covar_key({"x"}): "t1"}
             assert store.has_session("default")
             version = store._conn.execute("PRAGMA user_version").fetchone()[0]
-            assert version == 2
+            assert version == SCHEMA_VERSION
 
     def test_migrated_store_supports_new_sessions(self, tmp_path):
         path = str(tmp_path / "v1.db")
@@ -388,6 +456,85 @@ class TestSchemaMigration:
         for _ in range(3):
             with SQLiteCheckpointStore(path) as store:
                 assert len(store.read_nodes()) == 2
+
+    def _make_v2_store(self, path, big):
+        """A v2 database: two sessions, whole payload bytes in
+        ``payloads.data`` — the same bytes in both sessions — and a
+        tombstone."""
+        import sqlite3
+
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            """
+            CREATE TABLE sessions (
+                session_id TEXT PRIMARY KEY, notebook_path TEXT,
+                created_seq INTEGER NOT NULL,
+                status TEXT NOT NULL DEFAULT 'detached'
+            );
+            CREATE TABLE nodes (
+                session_id TEXT NOT NULL DEFAULT 'default', node_id TEXT NOT NULL,
+                parent_id TEXT, timestamp INTEGER NOT NULL,
+                execution_count INTEGER NOT NULL, cell_source TEXT NOT NULL,
+                committed INTEGER NOT NULL DEFAULT 1,
+                PRIMARY KEY (session_id, node_id)
+            );
+            CREATE TABLE node_deletes (
+                session_id TEXT NOT NULL DEFAULT 'default', node_id TEXT NOT NULL,
+                covar_key TEXT NOT NULL, PRIMARY KEY (session_id, node_id, covar_key)
+            );
+            CREATE TABLE node_deps (
+                session_id TEXT NOT NULL DEFAULT 'default', node_id TEXT NOT NULL,
+                covar_key TEXT NOT NULL, ref_node TEXT NOT NULL,
+                PRIMARY KEY (session_id, node_id, covar_key)
+            );
+            CREATE TABLE payloads (
+                session_id TEXT NOT NULL DEFAULT 'default', node_id TEXT NOT NULL,
+                covar_key TEXT NOT NULL, data BLOB, serializer TEXT,
+                PRIMARY KEY (session_id, node_id, covar_key)
+            );
+            CREATE INDEX idx_payloads_node ON payloads (session_id, node_id);
+            INSERT INTO sessions VALUES ('default', NULL, 1, 'detached');
+            INSERT INTO sessions VALUES ('other', 'other.ipynb', 2, 'detached');
+            INSERT INTO nodes VALUES ('default', 't1', 't0', 1, 1, 'x = f()', 1);
+            INSERT INTO nodes VALUES ('default', 't2', 't1', 2, 2, 'y = g()', 1);
+            INSERT INTO nodes VALUES ('other', 't1', 't0', 1, 1, 'x = f()', 1);
+            INSERT INTO node_deps VALUES ('default', 't2', 'x', 't1');
+            PRAGMA user_version = 2;
+            """
+        )
+        conn.executemany(
+            "INSERT INTO payloads VALUES (?, ?, ?, ?, ?)",
+            [
+                ("default", "t1", "x", big, "primary"),
+                ("default", "t2", "y", None, None),
+                ("other", "t1", "x", big, "primary"),
+            ],
+        )
+        conn.commit()
+        conn.close()
+
+    def test_v2_payloads_move_into_blocks(self, tmp_path):
+        path = str(tmp_path / "v2.db")
+        big = random.Random(0).randbytes(2 * BLOCK_BYTES + 100)
+        self._make_v2_store(path, big)
+        for _ in range(3):
+            with SQLiteCheckpointStore(path) as store:
+                other = store.for_session("other")
+                assert store.read_payload("t1", covar_key({"x"})).data == big
+                assert other.read_payload("t1", covar_key({"x"})).data == big
+                tombstone = store.read_payload("t2", covar_key({"y"}))
+                assert not tombstone.stored and tombstone.serializer is None
+                assert [n.node_id for n in store.read_nodes()] == ["t1", "t2"]
+                assert store.list_sessions()[1].notebook_path == "other.ipynb"
+                columns = {
+                    row[1] for row in store._conn.execute("PRAGMA table_info(payloads)")
+                }
+                assert "data" not in columns
+                (blocks,) = store._conn.execute("SELECT COUNT(*) FROM blocks").fetchone()
+                assert blocks == 3  # both sessions' copies share them
+                assert_blocks_consistent(store)
+                version = store._conn.execute("PRAGMA user_version").fetchone()[0]
+                assert version == SCHEMA_VERSION
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Ablation: the array hash fast path (§6.2).
 
-Kishu digests array-likes (XXH64 in the paper, FNV/blake2b here) instead
-of traversing their elements. This ablation disables the fast path —
-arrays are traversed element-wise like ordinary containers — and measures
-delta-detection cost on an array-heavy state. The design point: the fast
-path turns O(elements) graph construction into O(bytes) hashing.
+Kishu digests array-likes (XXH64 in the paper, SHA-256 folded to 64 bits
+with FNV-1a here) instead of traversing their elements. This ablation
+disables the fast path — arrays are traversed element-wise like ordinary
+containers — and measures delta-detection cost on an array-heavy state.
+The design point: the fast path turns O(elements) graph construction into
+O(bytes) hashing.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ Three kinds of nodes come out of a visit:
   Primitives do not participate in co-variable connectivity: CPython interns
   small ints and strings, so id-sharing of immutables is not aliasing.
 * **array** — array-like leaf summarised by a content digest (the paper's
-  hash fast path, §6.2).
+  hash fast path, §6.2). Arrays of Python objects are composites instead.
 * **composite** — traversed object with children.
 * **opaque** — object that cannot be traversed into (e.g. generators, §4.2);
   conservatively assumed updated whenever accessed.
@@ -49,7 +49,9 @@ class Visit:
 
     Attributes:
         kind: "primitive", "array", "composite", or "opaque".
-        value: Primitive value or digest for leaf kinds, else None.
+        value: Primitive value or digest for leaf kinds; for a composite,
+            state its children do not show (an object array's dtype and
+            shape), else None.
         children: Child objects, in deterministic order, for composites.
     """
 
@@ -118,11 +120,11 @@ class TraversalPolicy:
         if isinstance(obj, OPAQUE_TYPES):
             return Visit(kind="opaque")
         if isinstance(obj, np.ndarray):
+            if obj.dtype.hasobject:
+                return _object_array_visit(obj)
             return Visit(kind="array", value=digest_array(obj))
-        if isinstance(obj, bytearray):
+        if isinstance(obj, (bytearray, memoryview)):
             return Visit(kind="array", value=digest_bytes(obj))
-        if isinstance(obj, memoryview):
-            return Visit(kind="array", value=digest_bytes(obj.tobytes()))
         if isinstance(obj, dict):
             return Visit(kind="composite", children=_dict_children(obj))
         if isinstance(obj, (list, tuple)):
@@ -139,6 +141,21 @@ class TraversalPolicy:
         if isinstance(obj, range):
             return Visit(kind="primitive", value=(obj.start, obj.stop, obj.step))
         return _instance_visit(obj)
+
+
+def _object_array_visit(obj: np.ndarray) -> Visit:
+    """Arrays holding Python objects are containers, not byte data.
+
+    Their bytes are element pointers, so a digest would miss a change
+    inside an element and keep the elements out of the array's
+    co-variable. The elements are the children, in C order; dtype and
+    shape are the value, so an in-place reshape shows. Records that mix
+    objects with raw fields have neither: each element is a fresh
+    ``np.void`` and their bytes hold pointers, so they are opaque.
+    """
+    if obj.dtype.names is not None:
+        return Visit(kind="opaque")
+    return Visit(kind="composite", value=(obj.dtype.str, obj.shape), children=tuple(obj.flat))
 
 
 def _dict_children(obj: dict) -> Tuple[Any, ...]:

@@ -79,7 +79,8 @@ class GraphNode:
             is a modification (the paper's robustness addition over
             ElasticNotebook's ID graph).
         kind: "primitive", "array", "composite", or "opaque".
-        value: Primitive value / array digest for leaves; None otherwise.
+        value: Primitive value / array digest for leaves; an object
+            array's ``(dtype.str, shape)``; None otherwise.
         children: Indices into the owning graph's node table.
     """
 
@@ -122,9 +123,8 @@ class VarGraph:
         Deliberately excludes node addresses (``obj_id``) and uses only
         process-stable value digests, so equal session states produce equal
         fingerprints across interpreter runs and ``PYTHONHASHSEED`` values.
-        Address changes are still detected: :func:`graphs_equal` follows an
-        equal fingerprint with an exact node-table comparison, which
-        includes ``obj_id``.
+        Update detection does not use it: :func:`graphs_equal` compares the
+        node tables, ``obj_id`` included, directly.
         """
         if self._fingerprint is None:
             digests = []
@@ -169,12 +169,13 @@ class VarGraph:
 
 
 def graphs_equal(a: VarGraph, b: VarGraph) -> bool:
-    """Exact node-table comparison of two graphs built for the same name."""
-    if len(a.nodes) != len(b.nodes):
-        return False
-    if a.fingerprint != b.fingerprint:
-        return False
-    return a.nodes == b.nodes
+    """Exact node-table comparison of two graphs built for the same name.
+
+    The node tables decide on their own: equal tables have equal
+    fingerprints, so computing :attr:`VarGraph.fingerprint` first (one
+    digest per node of both graphs) could only repeat the answer.
+    """
+    return len(a.nodes) == len(b.nodes) and a.nodes == b.nodes
 
 
 def _value_digest(value: Any) -> int:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import array
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.hashing import combine, digest_array, digest_bytes, fnv1a64
 
 
@@ -31,15 +35,18 @@ class TestFnv:
 
 
 class TestDigestBytes:
-    def test_backends_agree_with_themselves(self):
-        for backend in ("fnv", "blake2b"):
-            assert digest_bytes(b"x", backend=backend) == digest_bytes(
-                b"x", backend=backend
-            )
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            digest_bytes(b"x", backend="md5000")
+    @pytest.mark.parametrize(
+        "buffer",
+        [
+            bytearray(b"kishu" * 40),
+            memoryview(array.array("i", range(50))),
+            memoryview(bytearray(range(200)))[::3],
+            memoryview(np.zeros((0, 3))),
+        ],
+        ids=["bytearray", "multi-byte-format", "strided", "zero-shape"],
+    )
+    def test_buffers_digest_like_their_bytes(self, buffer):
+        assert digest_bytes(buffer) == digest_bytes(bytes(buffer))
 
 
 class TestDigestArray:
@@ -64,6 +71,55 @@ class TestDigestArray:
         base = np.arange(20)
         strided = base[::2]
         assert digest_array(strided) == digest_array(np.ascontiguousarray(strided))
+
+
+#: One array per dtype family and layout the digest path must cover; the
+#: uint8 sizes put header plus data at 64 and 65 bytes, either side of the
+#: fold into SHA-256.
+DIGEST_CASES = {
+    "float64": np.linspace(0.0, 1.0, 9),
+    "int8": np.arange(-4, 5, dtype=np.int8),
+    "bool": np.array([True, False, True]),
+    "complex128": np.arange(4) * (1 + 2j),
+    "float16": np.arange(6, dtype=np.float16),
+    "datetime64": np.array(["2024-01-01", "2025-06-30"], dtype="datetime64[D]"),
+    "timedelta64": np.arange(3).astype("timedelta64[s]"),
+    "unicode": np.array(["ab", "c"]),
+    "bytes": np.array([b"x", b"yz"]),
+    "structured": np.array([(1, 2.5), (3, 4.5)], dtype=[("a", "<i4"), ("b", "<f8")]),
+    "big-endian": np.arange(5, dtype=">f8"),
+    "zero-size": np.zeros((0, 3)),
+    "zero-d": np.array(3.5),
+    "fortran": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+    "strided": np.arange(40)[::3],
+    "at-fold": np.arange(55, dtype=np.uint8),
+    "past-fold": np.arange(56, dtype=np.uint8),
+    "large": np.arange(100_000, dtype=np.float64),
+}
+
+
+@pytest.mark.parametrize("a", list(DIGEST_CASES.values()), ids=list(DIGEST_CASES))
+def test_digest_array_equals_digest_of_header_and_bytes(a):
+    buffer = f"{a.dtype.str}:{a.shape}".encode() + np.ascontiguousarray(a).tobytes()
+    sink = telemetry.WalkTelemetry()
+    previous = telemetry.activate(sink)
+    try:
+        digest = digest_array(a)
+    finally:
+        telemetry.deactivate(previous)
+    assert digest == digest_bytes(buffer)
+    assert sink.bytes_hashed == len(buffer)
+
+
+def test_digest_array_does_not_copy_a_contiguous_array():
+    big = np.ones(1 << 20)  # 8 MiB
+    tracemalloc.start()
+    try:
+        digest_array(big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestCombine:

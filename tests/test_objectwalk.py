@@ -57,6 +57,17 @@ class TestCompositeKinds:
         assert visit.kind == "composite"
         assert visit.children == ("k", 1)
 
+    def test_object_array_elements_in_c_order(self, policy):
+        items = [[1], "s", {"k": 2}, None]
+        grid = np.empty((2, 2), dtype=object)
+        grid[0, 0], grid[0, 1], grid[1, 0], grid[1, 1] = items
+        visit = policy.visit(grid.T)
+        assert visit.kind == "composite"
+        assert visit.value == ("|O", (2, 2))
+        assert [id(child) for child in visit.children] == [
+            id(items[0]), id(items[2]), id(items[1]), id(items[3])
+        ]
+
     def test_list_and_tuple(self, policy):
         assert policy.visit([1, 2]).children == (1, 2)
         assert policy.visit((1, 2)).children == (1, 2)
@@ -90,6 +101,10 @@ class TestCompositeKinds:
 class TestOpaqueKinds:
     def test_generator(self, policy):
         assert policy.visit((i for i in range(2))).kind == "opaque"
+
+    def test_records_holding_objects(self, policy):
+        records = np.zeros(2, dtype=[("tag", "O"), ("n", "<i4")])
+        assert policy.visit(records).kind == "opaque"
 
     def test_object_without_state_or_reduction(self, policy):
         class Stateless:

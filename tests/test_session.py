@@ -9,6 +9,7 @@ from repro.core.storage import SQLiteCheckpointStore
 from repro.errors import KishuError
 from repro.kernel.cells import Cell
 from repro.kernel.kernel import NotebookKernel
+from test_oracle import canonical_state
 
 
 class TestAttachment:
@@ -107,6 +108,36 @@ class TestLog:
         entries = {e.node_id: e for e in session.log()}
         assert entries[first].is_head
         assert not entries["t2"].is_head
+
+
+class TestArrayUpdates:
+    """Array changes the digest fast path must not hide."""
+
+    def test_object_array_elements_are_walked(self, kernel, session):
+        session.run_cell(
+            "import numpy as np\n"
+            "inner = [1, 2]\n"
+            "arr = np.empty(1, dtype=object)\n"
+            "arr[0] = inner"
+        )
+        before, recorded = session.head_id, canonical_state(kernel)
+        session.run_cell("arr[0].append(3)")
+        assert session.metrics[-1].updated_covariables == 1
+        assert session.pool.key_of("arr") == session.pool.key_of("inner")
+        session.run_cell("arr.shape = (1, 1)")
+        assert session.metrics[-1].updated_covariables == 1
+        session.checkout(before)
+        assert canonical_state(kernel) == recorded
+        assert kernel.get("arr")[0] is kernel.get("inner")
+
+    def test_zero_d_reshape_is_an_update(self, kernel, session):
+        session.run_cell("import numpy as np\nx = np.array(3.5)")
+        before, recorded = session.head_id, canonical_state(kernel)
+        session.run_cell("x.shape = (1,)")
+        assert session.metrics[-1].updated_covariables == 1
+        session.checkout(before)
+        assert canonical_state(kernel) == recorded
+        assert kernel.get("x").shape == ()
 
 
 class TestSqliteBacked:

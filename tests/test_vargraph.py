@@ -219,7 +219,7 @@ class TestProcessStableFingerprints:
     Builtin ``hash()`` of strings/bytes is salted by ``PYTHONHASHSEED``,
     and ``repr()`` of default objects embeds memory addresses; either in
     the digest path makes equal states fingerprint differently across
-    processes — which breaks cross-process checkpoint comparison.
+    processes.
     """
 
     SCRIPT = textwrap.dedent(

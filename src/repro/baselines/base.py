@@ -16,10 +16,10 @@ matching the paper's methodology:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.kernel.cells import CellResult
+from repro.kernel.cells import Cell, CellResult
 from repro.kernel.kernel import NotebookKernel
 from repro.kernel.namespace import AccessRecord
 
@@ -60,6 +60,22 @@ class CheckpointMethod:
         #: harness installs one so every method pays the same bandwidth
         #: for the bytes it moves.
         self.disk = None
+
+    def run_cell(
+        self, cell: Union[str, Cell], *, raise_on_error: bool = True
+    ) -> Tuple[CellResult, CheckpointCost]:
+        """Run one cell on the kernel and checkpoint the state after it.
+
+        The cell runs inside an access-recording window whose record
+        :meth:`on_cell_executed` receives.
+        """
+        namespace = self.kernel.user_ns
+        namespace.begin_recording()
+        try:
+            result = self.kernel.run_cell(cell, raise_on_error=raise_on_error)
+        finally:
+            record = namespace.end_recording()
+        return result, self.on_cell_executed(result, record)
 
     def on_cell_executed(
         self, result: CellResult, record: Optional[AccessRecord]

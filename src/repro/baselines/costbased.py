@@ -15,12 +15,11 @@ cells while bounding worst-case checkout time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import AbstractSet, Dict, List
 
 from repro.baselines.kishu_method import KishuMethod
-from repro.core.covariable import CoVarKey
 from repro.core.session import KishuSession
-from repro.kernel.kernel import NotebookKernel
+from repro.kernel.namespace import AccessRecord, filter_user_names
 
 
 class CostBasedDetReplaySession(KishuSession):
@@ -41,27 +40,28 @@ class CostBasedDetReplaySession(KishuSession):
         self._skipped_replay_cost: Dict[str, float] = {}
         self._decisions: List[bool] = []
 
-    def should_store_delta(self, tags: Set[str]) -> bool:
-        if "deterministic" not in tags:
-            self._decisions.append(True)
-            return True
-        replay_cost = self._estimate_replay_cost()
-        store = replay_cost > self.replay_budget_seconds
-        self._decisions.append(store)
+    def should_store_delta(
+        self, tags: AbstractSet[str], record: AccessRecord, cell_duration: float
+    ) -> bool:
+        store = "deterministic" not in tags
+        # Keyed by the id of the node this commit is about to write; a
+        # commit whose write failed leaves that id to the next commit.
+        node_id = self.graph.new_node_id()
+        self._skipped_replay_cost.pop(node_id, None)
         if not store:
-            # Record the skip under the node id the commit will create.
-            self._pending_skip_cost = replay_cost
+            replay_cost = self._estimate_replay_cost(record, cell_duration)
+            store = replay_cost > self.replay_budget_seconds
+            if not store:
+                self._skipped_replay_cost[node_id] = replay_cost
+        self._decisions.append(store)
         return store
 
-    def _estimate_replay_cost(self) -> float:
+    def _estimate_replay_cost(
+        self, record: AccessRecord, cell_duration: float
+    ) -> float:
         """Cell duration plus replay costs of skipped ancestors it reads."""
-        cost = getattr(self, "_last_cell_duration", 0.0)
+        cost = cell_duration
         parent_state = self.graph.head.state
-        record = getattr(self, "_last_commit_record", None)
-        if record is None:
-            return cost
-        from repro.kernel.namespace import filter_user_names
-
         for name in filter_user_names(record.gets):
             key = self.pool.key_of(name)
             if key is None:
@@ -71,13 +71,6 @@ class CostBasedDetReplaySession(KishuSession):
                 cost += self._skipped_replay_cost[version]
         return cost
 
-    def commit(self):
-        node = super().commit()
-        if node is not None and hasattr(self, "_pending_skip_cost"):
-            self._skipped_replay_cost[node.node_id] = self._pending_skip_cost
-            del self._pending_skip_cost
-        return node
-
     @property
     def skip_decisions(self) -> List[bool]:
         """Per-commit store decisions (False = skipped, replay on checkout)."""
@@ -85,23 +78,8 @@ class CostBasedDetReplaySession(KishuSession):
 
 
 class CostBasedDetReplayMethod(KishuMethod):
-    """Cost-based Det-replay under the common benchmark interface."""
+    """Cost-based Det-replay under the common benchmark interface; pass
+    ``replay_budget_seconds`` through to the session."""
 
     name = "Kishu+Det-replay (cost-based)"
-
-    def __init__(
-        self,
-        kernel: NotebookKernel,
-        replay_budget_seconds: float = 1.0,
-        **session_kwargs,
-    ) -> None:
-        from repro.baselines.base import CheckpointMethod
-
-        CheckpointMethod.__init__(self, kernel)
-        self.session = CostBasedDetReplaySession(
-            kernel,
-            auto_checkpoint=False,
-            replay_budget_seconds=replay_budget_seconds,
-            **session_kwargs,
-        )
-        self._node_ids: List[str] = []
+    session_class = CostBasedDetReplaySession

@@ -2,45 +2,47 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import List, Tuple, Union
 
 from repro.baselines.base import CheckoutCost, CheckpointCost, CheckpointMethod, timed
 from repro.core.session import KishuSession
 from repro.errors import KishuError
-from repro.kernel.cells import CellResult
+from repro.kernel.cells import Cell, CellResult
 from repro.kernel.kernel import NotebookKernel
-from repro.kernel.namespace import AccessRecord
 
 
 class KishuMethod(CheckpointMethod):
-    """Kishu: incremental checkpoint and incremental in-place checkout."""
+    """Kishu: incremental checkpoint and incremental in-place checkout.
+
+    The session is attached to the kernel, so each cell is analysed,
+    cross-validated and committed by the kernel hooks, exactly as in a
+    user's notebook.
+    """
 
     name = "Kishu"
     incremental_checkout = True
+    session_class = KishuSession
 
     def __init__(self, kernel: NotebookKernel, **session_kwargs) -> None:
         super().__init__(kernel)
-        # The benchmark harness manages recording windows itself, so the
-        # session is driven manually (not via kernel hooks).
-        self.session = KishuSession(kernel, auto_checkpoint=False, **session_kwargs)
+        self.session = self.session_class.init(kernel, **session_kwargs)
         self._node_ids: List[str] = []
 
-    def on_cell_executed(
-        self, result: CellResult, record: Optional[AccessRecord]
-    ) -> CheckpointCost:
-        self.session._pending_record = record
-        self.session._pending_sources = [result.cell.source]
-        self.session._pending_tags = set(result.cell.tags)
-        self.session._pending_execution_count = result.execution_count
-        self.session._last_cell_duration = result.duration
+    def run_cell(
+        self, cell: Union[str, Cell], *, raise_on_error: bool = True
+    ) -> Tuple[CellResult, CheckpointCost]:
+        """Run one cell; its checkpoint cost is the time the session's
+        hooks add to it, plus the simulated write of its payloads."""
         with timed() as clock:
-            node = self.session.commit()
+            result = self.kernel.run_cell(cell, raise_on_error=raise_on_error)
             metric = self.session.metrics[-1]
             self._charge_write(metric.bytes_written)
-        self._node_ids.append(node.node_id)
-        return self._record_cost(
-            CheckpointCost(seconds=clock.seconds, bytes_written=metric.bytes_written)
+        self._node_ids.append(metric.node_id)
+        cost = CheckpointCost(
+            seconds=clock.seconds - result.duration,
+            bytes_written=metric.bytes_written,
         )
+        return result, self._record_cost(cost)
 
     def checkout(self, checkpoint_index: int) -> CheckoutCost:
         node_id = self._node_ids[checkpoint_index]
@@ -58,14 +60,8 @@ class KishuMethod(CheckpointMethod):
             kernel_killed=False,
         )
 
-    def node_id_of(self, checkpoint_index: int) -> str:
-        return self._node_ids[checkpoint_index]
-
     def total_storage_bytes(self) -> int:
         return self.session.total_checkpoint_bytes()
-
-    def tracking_seconds(self) -> float:
-        return self.session.total_tracking_seconds()
 
 
 class DetReplaySession(KishuSession):
@@ -77,7 +73,7 @@ class DetReplaySession(KishuSession):
     slow to check out (the paper's Cluster 1050 s case).
     """
 
-    def should_store_delta(self, tags) -> bool:
+    def should_store_delta(self, tags, record, cell_duration) -> bool:
         return "deterministic" not in tags
 
 
@@ -85,8 +81,4 @@ class DetReplayMethod(KishuMethod):
     """Kishu+Det-replay under the common interface."""
 
     name = "Kishu+Det-replay"
-
-    def __init__(self, kernel: NotebookKernel, **session_kwargs) -> None:
-        CheckpointMethod.__init__(self, kernel)
-        self.session = DetReplaySession(kernel, auto_checkpoint=False, **session_kwargs)
-        self._node_ids: List[str] = []
+    session_class = DetReplaySession

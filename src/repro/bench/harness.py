@@ -9,11 +9,10 @@ else — those methods cannot restore incrementally).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.baselines.base import CheckoutCost, CheckpointMethod
-from repro.kernel.cells import Cell, CellResult
 from repro.kernel.kernel import NotebookKernel
 from repro.tracking.base import Tracker
 from repro.workloads.spec import NotebookSpec
@@ -61,11 +60,8 @@ def run_notebook_with_method(
     failures = 0
     runtime = 0.0
     for cell in spec.cells:
-        kernel.user_ns.begin_recording()
-        result = kernel.run_cell(cell)
-        record = kernel.user_ns.end_recording()
+        result, cost = method.run_cell(cell)
         runtime += result.duration
-        cost = method.on_cell_executed(result, record)
         if cost.failed:
             failures += 1
     return MethodRun(
@@ -127,11 +123,8 @@ def undo_experiment(
     measurements: List[UndoMeasurement] = []
 
     for index, cell in enumerate(spec.cells):
-        kernel.user_ns.begin_recording()
-        result = kernel.run_cell(cell)
-        record = kernel.user_ns.end_recording()
+        result, cost = method.run_cell(cell)
         runtime += result.duration
-        cost = method.on_cell_executed(result, record)
         if cost.failed:
             failures += 1
         if index in targets and index > 0:
@@ -178,10 +171,7 @@ def branch_experiment(
     # fresh-kernel methods the session simply keeps evolving — they have
     # no in-place rollback, matching how a user would proceed with them.
     for cell in spec.cells[branch_point + 1 :]:
-        run.kernel.user_ns.begin_recording()
-        result = run.kernel.run_cell(cell, raise_on_error=False)
-        record = run.kernel.user_ns.end_recording()
-        run.method.on_cell_executed(result, record)
+        run.method.run_cell(cell, raise_on_error=False)
 
     switch_cost = run.method.checkout(first_branch_tip)
     return run, BranchMeasurement(

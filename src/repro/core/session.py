@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import AbstractSet, Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.analysis.crossval import CrossValidator
 from repro.analysis.dataflow import in_place_mutation_targets
@@ -31,7 +31,6 @@ from repro.analysis.visitor import analyze_cell
 from repro.core.covariable import CoVariablePool, CoVarKey
 from repro.core.delta import DeltaDetector, StateDelta, fold_deltas
 from repro.core.graph import CheckpointGraph, CheckpointNode, PayloadInfo, ROOT_ID
-from repro.core.planner import CheckoutPlanner
 from repro.core.refs import RefManager
 from repro.core.replay import session_cost_model
 from repro.core.restore import CheckoutReport, StateLoader
@@ -57,6 +56,11 @@ from repro.kernel.cells import Cell, CellResult
 from repro.kernel.events import POST_RUN_CELL, PRE_RUN_CELL, ExecutionInfo
 from repro.kernel.kernel import NotebookKernel
 from repro.kernel.namespace import AccessRecord
+
+
+#: Source recorded on the synthetic node that captures the state a
+#: kernel already held when the session attached.
+ATTACH_SOURCE = "# state at kishu attach"
 
 
 @dataclass
@@ -121,7 +125,6 @@ class KishuSession:
         kernel: NotebookKernel,
         store: Optional[CheckpointStore] = None,
         *,
-        auto_checkpoint: bool = True,
         serializer: Optional[SerializerChain] = None,
         blocklist: Optional[Blocklist] = None,
         builder: Optional[VarGraphBuilder] = None,
@@ -136,7 +139,6 @@ class KishuSession:
         self.store = store if store is not None else InMemoryCheckpointStore()
         self.serializer = serializer if serializer is not None else SerializerChain()
         self.blocklist = blocklist if blocklist is not None else Blocklist()
-        self.auto_checkpoint = auto_checkpoint
         #: Observability sinks (DESIGN.md §11): lifecycle tracer, metrics
         #: registry, and structured event log. ``observe=False`` swaps in
         #: the shared no-op observer (near-zero overhead — every verb
@@ -166,7 +168,6 @@ class KishuSession:
         #: Its stats are a view over the session registry (``analysis.*``).
         self.validator = CrossValidator(stats=AnalysisStats(registry=stats_registry))
         self.analysis_stats = self.validator.stats
-        self._pending_effects: Optional[CellEffects] = None
         self._installed_analyzer = False
         #: Interprocedural function-effect summaries (DESIGN.md §14). The
         #: table is fed every committed cell in execution order; the
@@ -193,11 +194,6 @@ class KishuSession:
         #: an undo or redo re-analyses only the cells since the deepest
         #: ancestor already folded (DESIGN.md §14).
         self._resync_memo = PrefixMemo()
-        #: Receivers of stub-declared-pure calls in the cells of the
-        #: pending checkpoint — the runtime mismatch witnesses: a
-        #: commit-time delta on one of these with no other static
-        #: explanation refutes the stub (DESIGN.md §15.3).
-        self._pending_stub_pure: Set[str] = set()
 
         # The session's DeltaDetector observes every cell's access record
         # and invalidates dirty subtrees before rebuilding, which is what
@@ -217,20 +213,13 @@ class KishuSession:
             use_stubs=use_stubs,
             stub_registry=stub_registry,
         )
-        self.planner = CheckoutPlanner(self.graph)
         self.refs = RefManager()
 
         self.metrics: List[CellCheckpointMetrics] = []
         self.checkout_reports: List[CheckoutReport] = []
         self._attached = False
-        self._pending_record: Optional[AccessRecord] = None
-        #: Effects of the cell currently between pre- and post-run hooks,
-        #: kept un-merged so the summary table can observe cells one at a
-        #: time even when several fold into one checkpoint.
+        #: Effects of the cell currently between pre- and post-run hooks.
         self._cell_effects: Optional[CellEffects] = None
-        self._pending_sources: List[str] = []
-        self._pending_execution_count = 0
-        self._pending_tags: Set[str] = set()
         #: Delta of a checkpoint whose store write failed, folded into the
         #: next successful checkpoint so the history loses no state.
         self._carryover: Optional[Tuple[StateDelta, str]] = None
@@ -274,7 +263,6 @@ class KishuSession:
                 session.stubs.registry if session.stubs is not None else None
             ),
         )
-        session.planner = CheckoutPlanner(session.graph)
         session.attach()
         head = session.graph.head_id
         if head != ROOT_ID:
@@ -304,11 +292,16 @@ class KishuSession:
         if existing:
             # Capture whatever the user created before attaching as an
             # initial synthetic checkpoint so every later state is reachable.
-            self._pending_record = AccessRecord()
-            self._pending_record.sets |= set(existing)
-            self._pending_sources = ["# state at kishu attach"]
-            self._pending_execution_count = self.kernel.execution_count
-            self.commit()
+            record = AccessRecord()
+            record.sets |= set(existing)
+            self._commit(record, ATTACH_SOURCE, self.kernel.execution_count)
+            # A checkout resync folds this node's source like any cell's,
+            # so the live tables observe it too and stay equal to the
+            # fold of their chain.
+            if self.summaries is not None:
+                self.summaries.advance(ATTACH_SOURCE)
+            elif self.stubs is not None:
+                self.stubs.observe_cell(ATTACH_SOURCE)
 
     def detach(self) -> None:
         if not self._attached:
@@ -341,11 +334,6 @@ class KishuSession:
             # so cross-validation still sees every cell.
             effects = self._analyze_cell(info.cell.source)
         self._cell_effects = effects
-        self._pending_effects = (
-            effects
-            if self._pending_effects is None
-            else self._pending_effects.merge(effects)
-        )
         if not self.kernel.user_ns.recording:
             self.kernel.user_ns.begin_recording()
 
@@ -360,6 +348,7 @@ class KishuSession:
             self.summaries is not None or self.stubs is not None
         ):
             effects = self._analyze_cell(result.cell.source)
+        stub_pure: Set[str] = set()
         if self.summaries is not None:
             invalidated_before = len(self.summaries.invalidations)
             self.summaries.observe_cell(
@@ -385,9 +374,7 @@ class KishuSession:
             # must join the Lemma-1 candidate set by hand.
             record.sets |= effects.stub_mutations | effects.stub_writes
             if result.error is None and effects.syntax_error is None:
-                self._pending_stub_pure |= self._stub_pure_witnesses(
-                    result.cell.source, effects
-                )
+                stub_pure = self._stub_pure_witnesses(result.cell.source, effects)
             # The session owns the stub env lifecycle: exactly one
             # observation per executed cell, after analysis used the
             # pre-cell environment.
@@ -396,16 +383,15 @@ class KishuSession:
                 executed=result.error is None,
                 opaque=effects.opaque_writes,
             )
-        if self._pending_record is None:
-            self._pending_record = record
-        else:
-            self._pending_record.merge(record)
-        self._pending_sources.append(result.cell.source)
-        self._pending_tags |= set(result.cell.tags)
-        self._pending_execution_count = result.execution_count
-        self._last_cell_duration = result.duration
-        if self.auto_checkpoint:
-            self.commit()
+        self._commit(
+            record,
+            result.cell.source,
+            result.execution_count,
+            cell_duration=result.duration,
+            tags=result.cell.tags,
+            effects=effects,
+            stub_pure=stub_pure,
+        )
 
     def _stub_pure_witnesses(self, source: str, effects: CellEffects) -> Set[str]:
         """Receivers this cell touched *only* through declared-pure stub
@@ -436,6 +422,7 @@ class KishuSession:
         delta: StateDelta,
         record: AccessRecord,
         effects: Optional[CellEffects],
+        stub_pure: AbstractSet[str],
     ) -> Set[str]:
         """Pure-stub witnesses the runtime delta refutes.
 
@@ -457,31 +444,30 @@ class KishuSession:
         refuted: Set[str] = set()
         for key, _covariable in delta.updated.items():
             members = set(key)
-            witnesses = members & self._pending_stub_pure
+            witnesses = members & stub_pure
             if witnesses and not (members & explained):
                 refuted |= witnesses
         return refuted
 
     # -- checkpointing --------------------------------------------------------------
 
-    def commit(self) -> Optional[CheckpointNode]:
-        """Write pending cell execution(s) as one incremental checkpoint."""
-        if self._pending_record is None:
-            return None
-        record = self._pending_record
-        sources = "\n".join(self._pending_sources)
-        execution_count = self._pending_execution_count
-        cell_duration = getattr(self, "_last_cell_duration", 0.0)
-        tags = self._pending_tags
-        effects = self._pending_effects
-        self._pending_record = None
-        self._pending_sources = []
-        self._pending_tags = set()
-        self._pending_effects = None
-        #: Kept for subclasses whose should_store_delta needs the record
-        #: (e.g. cost-based Det-replay's dependency-cost estimate).
-        self._last_commit_record = record
+    def _commit(
+        self,
+        record: AccessRecord,
+        source: str,
+        execution_count: int,
+        *,
+        cell_duration: float = 0.0,
+        tags: AbstractSet[str] = frozenset(),
+        effects: Optional[CellEffects] = None,
+        stub_pure: AbstractSet[str] = frozenset(),
+    ) -> CheckpointNode:
+        """Write one cell execution as an incremental checkpoint.
 
+        ``effects`` is the cell's static analysis, cross-validated
+        against ``record``; ``stub_pure`` holds its stub-purity
+        witnesses (see :meth:`_stub_pure_witnesses`).
+        """
         obs = self.observer
         with obs.span("commit", execution_count=execution_count) as commit_span:
             # Cross-validate Lemma 1 (DESIGN.md §8): compare the static
@@ -507,7 +493,7 @@ class KishuSession:
             if (
                 self.rule_analyzer is not None
                 and not escalate
-                and self.rule_analyzer.is_read_only(sources)
+                and self.rule_analyzer.is_read_only(source)
             ):
                 # Rule-based fast path (§6.2): a provably read-only cell
                 # cannot have updated any co-variable — write an empty
@@ -536,8 +522,10 @@ class KishuSession:
             # checkpoint is intact — so the response is observational:
             # count the mismatch, emit events, and mark the checkpoint
             # escalated so downstream consumers distrust the cell.
-            if self.stubs is not None and self._pending_stub_pure:
-                refuted = self._refuted_stub_purity(delta, record, effects)
+            if self.stubs is not None and stub_pure:
+                refuted = self._refuted_stub_purity(
+                    delta, record, effects, stub_pure
+                )
                 if refuted:
                     self.validator.note_stub_mismatch(
                         frozenset(refuted), already_escalated=escalate
@@ -556,7 +544,6 @@ class KishuSession:
                         missing=[],
                     )
                     escalate = True
-                self._pending_stub_pure = set()
 
             if obs.enabled:
                 publish_walk_stats(obs.metrics, delta.walk)
@@ -565,11 +552,11 @@ class KishuSession:
                 # A previous checkpoint's store write failed after the pool
                 # was already advanced; fold its delta under this one so no
                 # state update is lost from the history.
-                carried_delta, carried_sources = self._carryover
+                carried_delta, carried_source = self._carryover
                 self._carryover = None
                 delta = fold_deltas(carried_delta, delta)
-                sources = (
-                    f"{carried_sources}\n{sources}" if sources else carried_sources
+                source = (
+                    f"{carried_source}\n{source}" if source else carried_source
                 )
                 obs.event(
                     EventType.DELTA_CARRYOVER,
@@ -580,12 +567,14 @@ class KishuSession:
 
             try:
                 node = self._write_checkpoint(
-                    delta, sources, execution_count, cell_duration,
-                    store_payloads=self.should_store_delta(tags),
+                    delta, source, execution_count, cell_duration,
+                    store_payloads=self.should_store_delta(
+                        tags, record, cell_duration
+                    ),
                     escalated=escalate,
                 )
             except StorageError as exc:
-                self._carryover = (delta, sources)
+                self._carryover = (delta, source)
                 obs.event(
                     EventType.DELTA_CARRYOVER,
                     action="stashed",
@@ -612,12 +601,15 @@ class KishuSession:
         self.refs.advance_active_branch(node.node_id)
         return node
 
-    def should_store_delta(self, tags: Set[str]) -> bool:
+    def should_store_delta(
+        self, tags: AbstractSet[str], record: AccessRecord, cell_duration: float
+    ) -> bool:
         """Whether this cell's updated co-variables should be serialized.
 
         Always True for plain Kishu. The Det-replay variant (§7.1) overrides
         this to skip storage for deterministic-annotated cells, relying on
-        replay (fallback recomputation) at checkout.
+        replay (fallback recomputation) at checkout; the cost-based variant
+        also weighs the cell's ``record`` and ``cell_duration``.
         """
         return True
 
@@ -804,7 +796,6 @@ class KishuSession:
         prefix memo resumes it from the deepest ancestor an earlier
         resync folded.
         """
-        self._pending_stub_pure = set()
         if self.summaries is None and self.stubs is None:
             return
         sources = [
@@ -982,9 +973,6 @@ class KishuSession:
         for metric in self.metrics:
             total = total + metric.walk
         return total
-
-    def total_tracking_seconds(self) -> float:
-        return sum(metric.tracking_seconds for metric in self.metrics)
 
     def total_checkpoint_bytes(self) -> int:
         return self.store.total_payload_bytes()

@@ -1,6 +1,6 @@
 """Write-ahead commit queue: enqueue deltas; a background writer persists.
 
-``KishuSession.commit`` against a :class:`QueuedStore` becomes "enqueue
+A session's commit against a :class:`QueuedStore` becomes "enqueue
 delta": the session runs the ordinary begin/write/commit protocol, but
 the handle captures the whole checkpoint into one record and hands it to
 the :class:`CommitQueue` at commit time. The queue's single background

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.baselines import DumpSessionMethod, KishuMethod
+from repro.baselines import DetReplayMethod, DumpSessionMethod, KishuMethod
 from repro.bench import (
     branch_experiment,
     format_series,
@@ -33,6 +33,20 @@ def tiny_spec() -> NotebookSpec:
     ]
     return NotebookSpec(
         name="Tiny", topic="t", library="l", final=True,
+        hidden_states=0, out_of_order_cells=0, cells=make_cells(entries),
+    )
+
+
+def helper_spec() -> NotebookSpec:
+    entries = [
+        ("xs = [1]", ()),
+        ("def push(x):\n    xs.append(x)", ()),
+        ("exec('xs.append(3)')", ()),
+        ("push(4)", ()),
+        ("ys = sorted(xs)", ("deterministic",)),
+    ]
+    return NotebookSpec(
+        name="Helpers", topic="t", library="l", final=True,
         hidden_states=0, out_of_order_cells=0, cells=make_cells(entries),
     )
 
@@ -79,6 +93,26 @@ class TestHarness:
         value, seconds = time_call(lambda: 42)
         assert value == 42
         assert seconds >= 0
+
+
+class TestHookDrivenKishu:
+    """The harness runs Kishu through the kernel hooks, as a user's
+    session runs: every cell is analysed and cross-validated."""
+
+    def test_every_cell_is_analysed_and_cross_validated(self):
+        spec = helper_spec()
+        session = run_notebook_with_method(spec, KishuMethod).method.session
+        assert session.analysis_stats.cells_analyzed == len(spec.cells)
+        assert session.summaries.next_index == len(spec.cells)
+        assert session.metrics[2].escalated  # the exec cell
+
+    def test_det_replay_skips_storage_on_deterministic_cells(self):
+        kishu = run_notebook_with_method(helper_spec(), KishuMethod)
+        det = run_notebook_with_method(helper_spec(), DetReplayMethod)
+        assert kishu.method.checkpoint_costs[-1].bytes_written > 0
+        assert det.method.checkpoint_costs[-1].bytes_written == 0
+        assert "ys" not in det.method.checkout(3).restored
+        assert det.method.checkout(4).restored["ys"] == [1, 3, 4]
 
 
 class TestSimulatedDisk:

@@ -97,12 +97,7 @@ class TestCheckoutBehaviour:
             """Overwrite every model, then check out the pre-overwrite
             state — forcing each model co-variable to be restored."""
             target_index = len(spec.cells) - 1
-            run.kernel.user_ns.begin_recording()
-            result = run.kernel.run_cell(
-                "model_0 = model_1 = model_2 = model_3 = None"
-            )
-            record = run.kernel.user_ns.end_recording()
-            run.method.on_cell_executed(result, record)
+            run.method.run_cell("model_0 = model_1 = model_2 = model_3 = None")
             return run.method.checkout(target_index)
 
         plain = run_notebook_with_method(spec, DetReplayMethod)

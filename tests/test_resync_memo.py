@@ -174,6 +174,21 @@ class TestEditedSource:
         assert_matches_fresh_fold(session)
 
 
+class TestAttachNode:
+    """A session attached to a kernel that already holds state commits a
+    synthetic node for it; the live tables observe that node's source,
+    so they equal the fold of their chain before any checkout."""
+
+    @pytest.mark.parametrize("use_summaries", [True, False])
+    def test_live_tables_equal_the_chain_fold(self, use_summaries):
+        kernel = NotebookKernel()
+        kernel.run_cell("a = 1")
+        session = KishuSession.init(kernel, use_summaries=use_summaries)
+        run(session, ["import numpy as np", "def f():\n    global a\n    a = 2", "b = 3"])
+        assert len(chain_sources(session, session.head_id)) == 4
+        assert_matches_fresh_fold(session)
+
+
 class TestSummariesOff:
     def test_stub_env_equals_a_fresh_fold(self):
         session = KishuSession.init(NotebookKernel(), use_summaries=False)

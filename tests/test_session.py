@@ -70,22 +70,6 @@ class TestCheckpointing:
         metric = session.metrics[-1]
         assert metric.skipped_unserializable == 1
 
-    def test_manual_commit_batches_cells(self, kernel):
-        session = KishuSession(kernel, auto_checkpoint=False)
-        session.attach()
-        kernel.run_cell("a = 1")
-        kernel.run_cell("b = a + 1")
-        node = session.commit()
-        assert node is not None
-        assert len(session.log()) == 1
-        assert "a = 1" in node.cell_source
-        assert "b = a + 1" in node.cell_source
-
-    def test_commit_without_pending_is_noop(self, kernel):
-        session = KishuSession(kernel, auto_checkpoint=False)
-        session.attach()
-        assert session.commit() is None
-
     def test_dependencies_recorded(self, session):
         session.run_cell("base = [1]")
         session.run_cell("derived = [base[0] * 2]")

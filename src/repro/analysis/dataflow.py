@@ -44,7 +44,7 @@ from __future__ import annotations
 import ast
 import builtins
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -60,14 +60,16 @@ from typing import (
 )
 
 from repro.analysis.effects import CellEffects, Span
-from repro.analysis.visitor import analyze_cell
+from repro.analysis.visitor import analyze_cell, parse_cell
 
 if TYPE_CHECKING:  # pragma: no cover - cycle broken by lazy import
-    from repro.analysis.summaries import NotebookSummaries, SummaryView
+    from repro.analysis.stubs import StubRegistry
+    from repro.analysis.summaries import FoldState, PrefixMemo
     from repro.analysis.typetrack import StubContext
 
 __all__ = [
     "CellNode",
+    "ChainAnalysis",
     "DefUseEdge",
     "EdgeKind",
     "NotebookDataflowGraph",
@@ -77,6 +79,7 @@ __all__ = [
     "Resolution",
     "StoredVersion",
     "ast_cost",
+    "chain_analysis",
     "make_cell_node",
     "split_script_cells",
 ]
@@ -313,7 +316,7 @@ class CellNode:
 
     ``index`` is the cell's position in execution order (0-based);
     ``node_id`` optionally names the checkpoint node the cell committed
-    as; ``execution_count`` is the kernel's counter (0 when unknown).
+    as.
     """
 
     index: int
@@ -322,7 +325,6 @@ class CellNode:
     effects: CellEffects
     external_reads: FrozenSet[str] = frozenset()
     mutators: FrozenSet[str] = frozenset()
-    execution_count: int = 0
     node_id: Optional[str] = None
 
     @property
@@ -347,63 +349,109 @@ class CellNode:
         )
 
 
-def make_cell_node(
+def _cell_node(
     index: int,
     source: str,
-    *,
-    label: Optional[str] = None,
-    execution_count: int = 0,
-    node_id: Optional[str] = None,
-    summaries: "Optional[SummaryView]" = None,
+    effects: CellEffects,
     stubs: "Optional[StubContext]" = None,
+    *,
+    interprocedural: bool = False,
 ) -> CellNode:
-    """Analyze one cell source into a :class:`CellNode`.
+    """A :class:`CellNode` for one cell whose ``effects`` are known.
 
-    With ``summaries`` the analysis is interprocedural: calls to
-    summarized helpers contribute their global reads (call-time-eager,
-    so they join ``external_reads`` rather than the planner's lazy set)
-    and their mutations (of globals and of global arguments), while
-    mutations *inside* summarizable function bodies stop being
-    attributed to the defining cell.
-
-    With ``stubs`` library calls resolve through effect stubs
-    (DESIGN.md §15): declared-pure calls stop being captured as
-    mutations (tighter MUTATION edges), declared mutations — including
-    ``mutates_args`` argument positions — join ``mutators``.
+    ``stubs`` holds the type environment before cell ``index``: pure
+    library calls drop out of the mutators, declared mutations join.
+    ``interprocedural`` effects came through a summary view, which
+    charges mutations inside function bodies to the call sites; summary
+    reads are call-time eager, so they join ``external_reads``. Summary
+    and stub sets are empty when their layer is off.
     """
-    effects = analyze_cell(source, summaries, stubs=stubs)
     external: FrozenSet[str] = frozenset()
     mutators: FrozenSet[str] = frozenset()
-    if effects.syntax_error is None:
-        try:
-            module = ast.parse(source)
-        except SyntaxError:  # pragma: no cover - analyze_cell already parsed
-            module = None
-        if module is not None:
-            external = ordered_external_reads(module)
-            resolver = stubs.resolver(module) if stubs is not None else None
-            mutators = in_place_mutation_targets(
+    module = parse_cell(source)
+    if module is not None:
+        resolver = stubs.resolver_as_run(index, module) if stubs is not None else None
+        external = ordered_external_reads(module) | effects.summary_reads
+        mutators = (
+            in_place_mutation_targets(
                 module,
-                skip_function_bodies=summaries is not None,
+                skip_function_bodies=interprocedural,
                 method_effect=(
                     resolver.method_effect if resolver is not None else None
                 ),
             )
-            if summaries is not None:
-                external = frozenset(external | effects.summary_reads)
-                mutators = frozenset(mutators | effects.summary_mutations)
-            if stubs is not None:
-                mutators = frozenset(mutators | effects.stub_mutations)
+            | effects.summary_mutations
+            | effects.stub_mutations
+        )
     return CellNode(
         index=index,
-        label=label if label is not None else f"cell[{index}]",
+        label=f"cell[{index}]",
         source=source,
         effects=effects,
         external_reads=external,
         mutators=mutators,
-        execution_count=execution_count,
-        node_id=node_id,
     )
+
+
+def make_cell_node(index: int, source: str, *, label: Optional[str] = None) -> CellNode:
+    """Analyze one cell source, intraprocedurally, into a :class:`CellNode`.
+
+    Interprocedural and stub-aware nodes depend on every cell before
+    them, so they come from a fold of the chain (:func:`chain_analysis`).
+    """
+    node = _cell_node(index, source, analyze_cell(source))
+    return node if label is None else replace(node, label=label)
+
+
+#: Analyses one chain of cell sources, in execution order, into its cell
+#: nodes (labelled ``cell[i]``; callers relabel). See :func:`chain_analysis`.
+ChainAnalysis = Callable[[Sequence[str]], List[CellNode]]
+
+
+def chain_analysis(
+    memo: "PrefixMemo",
+    *,
+    use_summaries: bool = True,
+    use_stubs: bool = True,
+    stub_registry: "Optional[StubRegistry]" = None,
+) -> ChainAnalysis:
+    """Analyse chains through ``memo``'s fold (DESIGN.md §14).
+
+    Each call folds the chain with
+    :meth:`~repro.analysis.summaries.PrefixMemo.fold` in the given
+    configuration, then builds the cell nodes the memo lacks from the
+    fold's effects, caching them under the chain's prefix keys. So
+    cells another fold through the memo (a checkout's resync) analysed
+    are not analysed again, and that fold never pays for nodes. The
+    closure holds only the memo and the configuration: a session that
+    hands it to its replay engine stays free of reference cycles.
+    """
+    from repro.analysis.summaries import NotebookSummaries, StubFold, prefix_keys
+    from repro.analysis.typetrack import StubContext
+
+    stubs = StubContext(stub_registry) if use_stubs else None
+    registry = stubs.registry if stubs is not None else None
+    start: "FoldState" = (
+        NotebookSummaries(stubs) if use_summaries else StubFold(stubs)
+    )
+
+    def analyse(sources: Sequence[str]) -> List[CellNode]:
+        state, effects = memo.fold(sources, start, registry)
+        cells: List[CellNode] = []
+        for index, key in enumerate(prefix_keys(sources)):
+            cell = memo.nodes.get(key)
+            if cell is None:
+                cell = memo.nodes[key] = _cell_node(
+                    index,
+                    sources[index],
+                    effects[index],
+                    state.stubs,
+                    interprocedural=use_summaries,
+                )
+            cells.append(cell)
+        return cells
+
+    return analyse
 
 
 def split_script_cells(source: str) -> List[str]:
@@ -525,12 +573,6 @@ class NotebookDataflowGraph:
                     "cells must be supplied in execution order with "
                     "contiguous indices"
                 )
-        #: The function-summary table used to analyze the cells, when the
-        #: graph was built with ``from_sources(use_summaries=True)``.
-        self.summaries: "Optional[NotebookSummaries]" = None
-        #: The stub context (registry + final type bindings) used to
-        #: analyze the cells, when built with ``use_stubs=True``.
-        self.stub_context: "Optional[StubContext]" = None
         self._events: Dict[str, _NameEvents] = {}
         self._escape_cells: List[int] = []
         self._build_events()
@@ -542,62 +584,31 @@ class NotebookDataflowGraph:
         sources: Iterable[str],
         *,
         labels: Optional[Sequence[str]] = None,
-        execution_counts: Optional[Sequence[int]] = None,
         use_summaries: bool = False,
         use_stubs: bool = False,
-        stub_registry: Optional[Any] = None,
+        stub_registry: "Optional[StubRegistry]" = None,
     ) -> "NotebookDataflowGraph":
         """Build the graph from cell sources in execution order.
 
-        With ``use_summaries`` a
-        :class:`~repro.analysis.summaries.NotebookSummaries` table is
-        threaded through the cells: each cell is analyzed with the
-        summaries its position can see (def-use edges through helper
-        calls become tight), and the populated table is retained as
-        ``graph.summaries`` for lint and reporting consumers.
-
-        With ``use_stubs`` a :class:`~repro.analysis.typetrack.StubContext`
-        (over ``stub_registry``, or the shipped default registry) is
-        threaded the same way: each cell resolves library calls against
-        the type bindings earlier cells established, and the context is
-        retained as ``graph.stub_context``.
+        The cells come from the fold a checkout's replay engine runs
+        (:func:`chain_analysis`, here on a fresh memo). With
+        ``use_summaries`` each cell is analyzed with the summaries its
+        position can see, so def-use edges through helper calls become
+        tight; with ``use_stubs`` it resolves library calls against the
+        type bindings earlier cells established (``stub_registry``, or
+        the shipped default registry).
         """
-        context: "Optional[StubContext]" = None
-        if use_stubs:
-            from repro.analysis.typetrack import StubContext
+        from repro.analysis.summaries import PrefixMemo
 
-            context = StubContext(registry=stub_registry)
-        table: "Optional[NotebookSummaries]" = None
-        if use_summaries:
-            from repro.analysis.summaries import NotebookSummaries
-
-            table = NotebookSummaries(stubs=context)
-        cells = []
-        for index, source in enumerate(sources):
-            view = table.view_for_cell(source) if table is not None else None
-            node = make_cell_node(
-                index,
-                source,
-                label=labels[index] if labels is not None else None,
-                execution_count=(
-                    execution_counts[index]
-                    if execution_counts is not None
-                    else 0
-                ),
-                summaries=view,
-                stubs=context,
-            )
-            if table is not None:
-                table.observe_cell(source, node.effects)
-            if context is not None:
-                context.observe_cell(
-                    source, opaque=node.effects.opaque_writes
-                )
-            cells.append(node)
-        graph = cls(cells)
-        graph.summaries = table
-        graph.stub_context = context
-        return graph
+        cells = chain_analysis(
+            PrefixMemo(),
+            use_summaries=use_summaries,
+            use_stubs=use_stubs,
+            stub_registry=stub_registry,
+        )(list(sources))
+        if labels is not None:
+            cells = [replace(cell, label=labels[cell.index]) for cell in cells]
+        return cls(cells)
 
     # -- construction -------------------------------------------------------
 

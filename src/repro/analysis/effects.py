@@ -112,8 +112,7 @@ class Escape:
 
 @dataclass
 class CellEffects:
-    """Static read/write/delete/escape summary of one cell (or a merged
-    run of cells committed as one checkpoint).
+    """Static read/write/delete/escape summary of one cell.
 
     The *definite* sets (``reads`` / ``writes`` / ``deletes``) contain
     global names touched by straight-line module-level code that every
@@ -215,37 +214,3 @@ class CellEffects:
 
     def escapes_of(self, kind: EscapeKind) -> Tuple[Escape, ...]:
         return tuple(escape for escape in self.escapes if escape.kind is kind)
-
-    def merge(self, other: "CellEffects") -> "CellEffects":
-        """Combine the effects of consecutively executed cells.
-
-        Both cells ran, so definite effects stay definite; a syntax error
-        in either half poisons the merge (that cell did not execute, so
-        the merged definite sets would over-claim).
-        """
-        merged = CellEffects(
-            reads=self.reads | other.reads,
-            conditional_reads=self.conditional_reads | other.conditional_reads,
-            writes=self.writes | other.writes,
-            conditional_writes=self.conditional_writes | other.conditional_writes,
-            deletes=self.deletes | other.deletes,
-            conditional_deletes=self.conditional_deletes | other.conditional_deletes,
-            escapes=self.escapes + other.escapes,
-            opaque_writes=self.opaque_writes or other.opaque_writes,
-            syntax_error=self.syntax_error or other.syntax_error,
-            summary_reads=self.summary_reads | other.summary_reads,
-            summary_writes=self.summary_writes | other.summary_writes,
-            summary_deletes=self.summary_deletes | other.summary_deletes,
-            summary_mutations=self.summary_mutations | other.summary_mutations,
-            deferred_escapes=self.deferred_escapes + other.deferred_escapes,
-            summary_expansions=self.summary_expansions + other.summary_expansions,
-            summary_unknown_calls=(
-                self.summary_unknown_calls + other.summary_unknown_calls
-            ),
-            stub_mutations=self.stub_mutations | other.stub_mutations,
-            stub_writes=self.stub_writes | other.stub_writes,
-            stub_pure_receivers=self.stub_pure_receivers | other.stub_pure_receivers,
-            stub_expansions=self.stub_expansions + other.stub_expansions,
-            stub_unknown_calls=self.stub_unknown_calls + other.stub_unknown_calls,
-        )
-        return merged

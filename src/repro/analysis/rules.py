@@ -535,14 +535,7 @@ class LintEngine:
                 self.lint_source(source, label=label, cell_index=index)
             )
             suppressions.append(_suppressions(source))
-            execution_count = (
-                counts[index] if counts is not None and index < len(counts) else 0
-            )
-            nodes.append(
-                make_cell_node(
-                    index, source, label=label, execution_count=execution_count
-                )
-            )
+            nodes.append(make_cell_node(index, source, label=label))
         from repro.analysis.dataflow import NotebookDataflowGraph
         from repro.analysis.summaries import NotebookSummaries
         from repro.analysis.typetrack import StubContext

@@ -37,9 +37,11 @@ classic bottom-up summary analysis over the notebook's call graph:
 * **Prefix memo** — the table is an append-only log indexed by cell
   position, so the table after the first ``k`` cells of a fold is a
   truncating copy (:meth:`NotebookSummaries.fork`). A :class:`PrefixMemo`
-  keeps folded tables by source prefix, and
-  :meth:`NotebookSummaries.from_sources` resumes from the deepest prefix
-  it already holds — what makes a checkout's resync incremental.
+  keeps folded states by source prefix, and :meth:`PrefixMemo.fold`
+  resumes from the deepest prefix it already holds. It is the one fold
+  of a chain: a checkout's resync (:meth:`NotebookSummaries.from_sources`,
+  or a :class:`StubFold` with summaries off), the replay engine and
+  file-mode dataflow all run it.
 
 Soundness contract with the CrossValidator (DESIGN.md §14): deferring a
 def-site escape is safe only if every path by which the body's hidden
@@ -62,6 +64,7 @@ import ast
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     FrozenSet,
@@ -73,6 +76,7 @@ from typing import (
     Set,
     Tuple,
     TypeVar,
+    Union,
 )
 
 from repro.analysis.effects import CellEffects, Escape, EscapeKind, Span
@@ -91,16 +95,23 @@ from repro.analysis.visitor import (
     is_summarizable_def,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - dataflow imports this module lazily
+    from repro.analysis.dataflow import CellNode
+
 __all__ = [
     "CallArg",
     "CallSite",
+    "FoldState",
     "FunctionSummary",
     "InvalidationRecord",
     "NotebookSummaries",
     "PrefixMemo",
     "RawSummary",
+    "StubFold",
     "SummaryView",
     "extract_cell_summaries",
+    "is_opaque_cell",
+    "prefix_keys",
     "resolve_summaries",
 ]
 
@@ -119,6 +130,20 @@ _OPAQUE_ESCAPE_KINDS = frozenset(
         EscapeKind.FRAME_INTROSPECTION,
     }
 )
+
+
+def is_opaque_cell(effects: CellEffects) -> bool:
+    """True when a cell may have rebound any name behind the analysis'
+    back: a star import's opaque writes, or an escape of one of the
+    :data:`_OPAQUE_ESCAPE_KINDS`.
+
+    The one opacity rule for every driver that has a cell's effects: an
+    opaque cell wipes the summary table and the stub type environment
+    alike.
+    """
+    return effects.opaque_writes or any(
+        escape.kind in _OPAQUE_ESCAPE_KINDS for escape in effects.escapes
+    )
 
 #: Fixpoint rounds are bounded by the call-graph diameter; this cap is a
 #: defensive backstop far above any real notebook's.
@@ -1004,25 +1029,16 @@ class NotebookSummaries:
 
         ``stubs``, when given, is the context library calls resolve
         against; it ends at the type environment after the last source,
-        whatever it held before. With a ``memo``, the fold resumes from
-        the deepest prefix of ``sources`` an earlier fold through that
-        memo already analysed, and re-analyses only the rest; without
-        one it starts from the empty table. The result equals a fold of
-        every source either way, and is a copy the caller may advance.
+        whatever it held before. The fold is :meth:`PrefixMemo.fold`:
+        with a ``memo`` it resumes from the deepest prefix of ``sources``
+        that memo already holds, without one it folds every source. The
+        result is a copy the caller may advance.
         """
-        memo = memo if memo is not None else PrefixMemo()
         registry = stubs.registry if stubs is not None else None
-        keys = _prefix_keys(sources)
-        k, stored = memo.deepest(keys, registry)
-        if stored is not None:
-            table = stored.fork(k)
-        else:
-            table = cls(StubContext(registry) if registry is not None else None)
-        for source in sources[k:]:
-            table.advance(source)
-        if k < len(sources):
-            memo.remember(keys, table.fork(len(sources)))
-        memo.reused, memo.folded = k, len(sources) - k
+        start = cls(StubContext(registry) if stubs is not None else None)
+        memo = memo if memo is not None else PrefixMemo()
+        table, _ = memo.fold(sources, start, registry)
+        assert isinstance(table, NotebookSummaries)
         if stubs is not None:
             # The caller's context takes over the folded environment.
             assert table._stubs is not None
@@ -1043,12 +1059,9 @@ class NotebookSummaries:
         cell index, which a copy that advances differently may reuse for
         other cells.
         """
-        stubs = (
-            StubContext(self._stubs.registry, self._stubs.env.fork(k))
-            if self._stubs is not None
-            else None
+        copy = NotebookSummaries(
+            self._stubs.fork(k) if self._stubs is not None else None
         )
-        copy = NotebookSummaries(stubs)
         for name, events in self._events.items():
             kept = [event for event in events if event[0] < k]
             if kept:
@@ -1061,6 +1074,11 @@ class NotebookSummaries:
 
     def _stub_token(self) -> Optional[str]:
         return self._stubs.fingerprint() if self._stubs is not None else None
+
+    @property
+    def stubs(self) -> Optional[StubContext]:
+        """The stub context library calls resolve against, if any."""
+        return self._stubs
 
     @property
     def next_index(self) -> int:
@@ -1221,10 +1239,7 @@ class NotebookSummaries:
 
         live_before = self._live_raws(self._next_index - 1)
 
-        opaque = effects.opaque_writes or any(
-            escape.kind in _OPAQUE_ESCAPE_KINDS for escape in effects.escapes
-        )
-        if opaque:
+        if is_opaque_cell(effects):
             kinds = sorted(
                 {
                     escape.kind.value
@@ -1324,7 +1339,7 @@ class NotebookSummaries:
         effects = analyze_cell(source, view, stubs=self._stubs)
         self.observe_cell(source, effects)
         if self._stubs is not None:
-            self._stubs.observe_cell(source, opaque=effects.opaque_writes)
+            self._stubs.observe_cell(source, opaque=is_opaque_cell(effects))
         return effects
 
     # -- reporting -----------------------------------------------------------
@@ -1349,12 +1364,40 @@ class NotebookSummaries:
         }
 
 
-def _prefix_keys(sources: Sequence[str]) -> List[Tuple[int, int]]:
+class StubFold:
+    """The analysis state of a notebook with summaries off: its stub type
+    environment alone, or nothing when stubs are off too.
+
+    It has the fold interface of :class:`NotebookSummaries` (``fork``,
+    ``advance`` and ``stubs``), so a :class:`PrefixMemo` memoizes the
+    folds of a session in any configuration.
+    """
+
+    def __init__(self, stubs: Optional[StubContext] = None) -> None:
+        self.stubs = stubs
+
+    def fork(self, k: int) -> "StubFold":
+        """An independent copy as of before cell ``k``."""
+        return StubFold(self.stubs.fork(k) if self.stubs is not None else None)
+
+    def advance(self, source: str) -> CellEffects:
+        """Analyze one cell intraprocedurally and advance the environment."""
+        effects = analyze_cell(source, stubs=self.stubs)
+        if self.stubs is not None:
+            self.stubs.observe_cell(source, opaque=is_opaque_cell(effects))
+        return effects
+
+
+#: An analysis state :meth:`PrefixMemo.fold` folds: a summary table (which
+#: threads its stub context), or a :class:`StubFold`.
+FoldState = Union[NotebookSummaries, StubFold]
+
+
+def prefix_keys(sources: Sequence[str]) -> List[Tuple[int, int]]:
     """``(k, fingerprint of the first k sources)`` for k = 1..len.
 
-    The fingerprint is hash-chained as the replay engine keys its cell
-    memo, so a source edited in place changes every key from its
-    position on."""
+    The fingerprint is hash-chained, so a source edited in place changes
+    every key from its position on."""
     keys: List[Tuple[int, int]] = []
     fingerprint = 0
     for k, source in enumerate(sources, 1):
@@ -1364,45 +1407,67 @@ def _prefix_keys(sources: Sequence[str]) -> List[Tuple[int, int]]:
 
 
 class PrefixMemo:
-    """Folded summary tables by source prefix (DESIGN.md §14).
+    """Folded analysis states by source prefix (DESIGN.md §14).
 
-    Each key of a folded chain — see :func:`_prefix_keys` — maps to a
-    table that folded at least that prefix; :meth:`NotebookSummaries.fork`
-    cuts the state after its first ``k`` cells back out. A stored table
-    is a copy no caller holds, and it is never advanced. A later fold
-    re-points every key of its chain at its own table, so a table stays
-    alive only while it holds the only fold of some prefix. Tables folded
-    under one stub registry do not serve a fold under another: a change
-    of registry fingerprint empties the memo.
+    Each key of a folded chain — see :func:`prefix_keys` — maps to a
+    state that folded at least that prefix, and to the effects of the
+    prefix's last cell; ``fork`` cuts the state after the first ``k``
+    cells back out. A stored state is a copy no caller holds, and it is
+    never advanced. A later fold re-points every key of its chain at its
+    own state, so a state stays alive only while it holds the only fold
+    of some prefix. One memo serves one configuration (summaries and
+    stubs on or off). States folded under one stub registry do not serve
+    a fold under another: a change of registry fingerprint empties the
+    memo.
     """
 
     def __init__(self) -> None:
-        self._tables: Dict[Tuple[int, int], NotebookSummaries] = {}
+        self._tables: Dict[Tuple[int, int], FoldState] = {}
+        self._effects: Dict[Tuple[int, int], CellEffects] = {}
+        #: Dataflow cell nodes built from this memo's folds, by prefix key
+        #: (:func:`~repro.analysis.dataflow.chain_analysis`); emptied with
+        #: the memo.
+        self.nodes: Dict[Tuple[int, int], "CellNode"] = {}
         self._registry: Optional[str] = None
-        #: Sources the latest fold took from a stored table, and analysed.
+        #: Sources the latest fold took from a stored state, and analysed.
         self.reused = 0
         self.folded = 0
 
     def __len__(self) -> int:
         return len(self._tables)
 
-    def deepest(
-        self, keys: Sequence[Tuple[int, int]], registry: Optional[StubRegistry]
-    ) -> Tuple[int, Optional[NotebookSummaries]]:
-        """The longest prefix of ``keys`` stored, and a table holding it
-        (``(0, None)`` when there is none)."""
+    def fold(
+        self,
+        sources: Sequence[str],
+        start: FoldState,
+        registry: Optional[StubRegistry],
+    ) -> Tuple[FoldState, List[CellEffects]]:
+        """The state after ``sources`` ran in order, and each source's
+        effects.
+
+        Forks the deepest prefix of ``sources`` the memo holds, or
+        ``start`` (the state before any source; it is never advanced),
+        advances the fork over the rest, and remembers the result under
+        every key of the chain. ``registry`` is the stub registry the states
+        resolve against. The state equals a fold of every source from
+        ``start`` either way, and is a copy the caller may advance.
+        """
         token = registry.fingerprint() if registry is not None else None
         if token != self._registry:
             self._tables.clear()
+            self._effects.clear()
+            self.nodes.clear()
             self._registry = token
-        for key in reversed(keys):
-            table = self._tables.get(key)
-            if table is not None:
-                return key[0], table
-        return 0, None
-
-    def remember(
-        self, keys: Sequence[Tuple[int, int]], table: NotebookSummaries
-    ) -> None:
-        for key in keys:
-            self._tables[key] = table
+        keys = prefix_keys(sources)
+        k = next((key[0] for key in reversed(keys) if key in self._tables), 0)
+        state = (self._tables[keys[k - 1]] if k else start).fork(k)
+        effects = [self._effects[key] for key in keys[:k]]
+        for source in sources[k:]:
+            effects.append(state.advance(source))
+        if k < len(sources):
+            stored = state.fork(len(sources))
+            for key, cell_effects in zip(keys, effects):
+                self._tables[key] = stored
+                self._effects[key] = cell_effects
+        self.reused, self.folded = k, len(sources) - k
+        return state, effects

@@ -31,9 +31,16 @@ Per notebook, :class:`NotebookTypeEnv` carries bindings across cells
 with the same lifecycle as the summary table: executed cells apply
 their exported bindings, opaque cells (``exec`` / ``globals()`` / star
 imports) wipe the environment, and per-cell snapshots let the lint
-rules re-resolve cells as they ran. :class:`StubContext` bundles a
-registry with one environment — the single object the session, the
-dataflow graph builder, and the summary extractor share.
+rules re-resolve cells as they ran. A driver that has a cell's effects
+(the session's hooks, every fold) decides opacity by the summary
+table's own rule, :func:`~repro.analysis.summaries.is_opaque_cell`;
+one without (``repro stubs check``) scans the cell for ``exec``-like
+calls. :class:`StubContext` bundles a registry with one environment —
+the single object the session, the summary extractor and the chain fold
+share. Both fork at any cell, so a
+:class:`~repro.analysis.summaries.PrefixMemo` memoizes the environment
+with the summary table or, with summaries off, alone
+(:class:`~repro.analysis.summaries.StubFold`).
 """
 
 from __future__ import annotations
@@ -535,9 +542,11 @@ class NotebookTypeEnv:
     ) -> None:
         """Advance the environment past one cell.
 
-        ``opaque`` should be the cell's ``effects.opaque_writes`` when
-        the caller has analyzed it; left ``None``, a light-weight scan
-        decides. Non-executed cells keep the environment unchanged.
+        ``opaque`` should be
+        :func:`~repro.analysis.summaries.is_opaque_cell` of the cell's
+        effects when the caller has analyzed it; left ``None``, a
+        light-weight scan decides. Non-executed cells keep the
+        environment unchanged.
         """
         self._snapshots.append(dict(self._env))
         if not executed:
@@ -569,17 +578,6 @@ class NotebookTypeEnv:
         env._snapshots = self._snapshots[:k]
         current = self._snapshots[k] if k < len(self._snapshots) else self._env
         env._env = dict(current)
-        return env
-
-    @classmethod
-    def from_sources(
-        cls,
-        sources: List[str],
-        registry: Optional[StubRegistry] = None,
-    ) -> "NotebookTypeEnv":
-        env = cls(registry)
-        for source in sources:
-            env.observe_cell(source)
         return env
 
     def fingerprint(self) -> str:
@@ -622,6 +620,11 @@ class StubContext:
         opaque: Optional[bool] = None,
     ) -> None:
         self.env.observe_cell(source, executed=executed, opaque=opaque)
+
+    def fork(self, k: int) -> "StubContext":
+        """An independent copy as of before cell ``k``
+        (:meth:`NotebookTypeEnv.fork`), over the same registry."""
+        return StubContext(self.registry, self.env.fork(k))
 
     def fingerprint(self) -> str:
         return f"{self.registry.fingerprint()}:{self.env.fingerprint()}"

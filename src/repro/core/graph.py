@@ -260,7 +260,14 @@ class CheckpointGraph:
 
     @classmethod
     def from_store(cls, store) -> "CheckpointGraph":
-        """Rebuild the graph from a checkpoint store's node records.
+        """Rebuild the graph from a checkpoint store's node records
+        (see :meth:`load`)."""
+        graph = cls()
+        graph.load(store)
+        return graph
+
+    def load(self, store) -> None:
+        """Adopt a checkpoint store's node records into this new graph.
 
         Nodes are replayed in the store's deterministic order (timestamp,
         then execution count, then insertion), re-deriving each node's
@@ -274,11 +281,10 @@ class CheckpointGraph:
         so callers can surface the loss. The result is always a valid
         prefix tree of the original history.
         """
-        graph = cls()
         for record in store.read_nodes():
             parent_id = record.parent_id if record.parent_id is not None else ROOT_ID
-            if parent_id not in graph._nodes:
-                graph.orphaned_node_ids.append(record.node_id)
+            if parent_id not in self._nodes:
+                self.orphaned_node_ids.append(record.node_id)
                 continue
             updated: Dict[CoVarKey, PayloadInfo] = {}
             for payload in store.payloads_of(record.node_id):
@@ -299,8 +305,7 @@ class CheckpointGraph:
                 deleted=set(record.deleted_keys),
                 dependencies=dict(record.dependencies),
             )
-            graph._adopt(node)
-        return graph
+            self._adopt(node)
 
     def _adopt(self, node: CheckpointNode) -> None:
         """Insert a reconstructed node, deriving its state metadata."""

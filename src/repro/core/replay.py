@@ -12,7 +12,10 @@ record missed.
 The :class:`ReplayEngine` here does the same job through the static
 dataflow lens of :mod:`repro.analysis.dataflow`: it lifts the checkpoint
 chain leading to the target node into a
-:class:`~repro.analysis.dataflow.NotebookDataflowGraph`, asks the
+:class:`~repro.analysis.dataflow.NotebookDataflowGraph` — its cells come
+from a :func:`~repro.analysis.dataflow.chain_analysis`, the fold a
+session's checkout resync runs too, over the session's prefix memo, so a
+replaying checkout analyses each chain cell once — asks the
 :class:`~repro.analysis.dataflow.ReplayPlanner` for the minimal ordered
 cell subset reconstructing the co-variable — consulting stored payloads
 and the checkout's materialization cache as shortcut versions — and
@@ -31,20 +34,20 @@ analysis being right, only the saved work does (DESIGN.md §10).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.dataflow import (
     CellNode,
+    ChainAnalysis,
     NotebookDataflowGraph,
     ReplayPlan,
     ReplayPlanner,
     StoredVersion,
     ast_cost,
-    make_cell_node,
+    chain_analysis,
 )
-from repro.analysis.summaries import NotebookSummaries
-from repro.analysis.typetrack import StubContext
+from repro.analysis.summaries import PrefixMemo
 from repro.core.covariable import CoVarKey
 from repro.core.graph import ROOT_ID, CheckpointGraph, CheckpointNode
 from repro.kernel.namespace import PatchedNamespace, filter_user_names
@@ -113,26 +116,18 @@ class ReplayEngine:
         graph: CheckpointGraph,
         *,
         stats: Optional[PlanStats] = None,
-        validate: bool = True,
         observer: Optional[Observer] = None,
-        use_summaries: bool = True,
-        use_stubs: bool = True,
-        stub_registry: Optional[Any] = None,
+        analysis: Optional[ChainAnalysis] = None,
     ) -> None:
         self.graph = graph
         self.stats = stats if stats is not None else PlanStats()
-        self.validate = validate
         self.observer = observer if observer is not None else NO_OBSERVER
-        self.use_summaries = use_summaries
-        self.use_stubs = use_stubs
-        self.stub_registry = stub_registry
-        # Memoized per (chain position, prefix fingerprint, source): tests
-        # tamper with node sources in place, so keying on the node id
-        # alone would serve stale analyses — and under summary analysis a
-        # cell's effects depend on every cell before it (a helper defined
-        # upstream expands at this cell's call sites), so the key also
-        # covers the chain prefix.
-        self._cells: Dict[Tuple[int, int, str], CellNode] = {}
+        #: Analyses a chain's sources into dataflow cells. A session passes
+        #: one over its own prefix memo, in its own configuration; without
+        #: one the engine folds with the defaults on a memo of its own.
+        self.analysis = (
+            analysis if analysis is not None else chain_analysis(PrefixMemo())
+        )
 
     # -- chain and graph construction ---------------------------------------
 
@@ -147,59 +142,12 @@ class ReplayEngine:
         ]
 
     def _cell_nodes(self, chain: List[CheckpointNode]) -> List[CellNode]:
-        cells: List[CellNode] = []
-        # The summary table is built lazily, on the first memo miss: a
-        # fully memoized chain (the common case for repeated
-        # materializations at one checkout) costs zero re-analysis. On a
-        # miss the table catches up by observing the already-analyzed
-        # prefix — observation needs only each cell's source and effects,
-        # both carried by the memoized CellNode.
-        table: Optional[NotebookSummaries] = None
-        stubs: Optional[StubContext] = None
-        analyses_started = False
-        chain_sensitive = self.use_summaries or self.use_stubs
-        prefix_fp = 0
-        for index, node in enumerate(chain):
-            prefix_fp = hash((prefix_fp, node.cell_source))
-            key = (index, prefix_fp if chain_sensitive else 0, node.cell_source)
-            cell = self._cells.get(key)
-            if cell is None:
-                if chain_sensitive and not analyses_started:
-                    analyses_started = True
-                    if self.use_stubs:
-                        stubs = StubContext(registry=self.stub_registry)
-                    if self.use_summaries:
-                        table = NotebookSummaries(stubs=stubs)
-                    for done in cells:
-                        if table is not None:
-                            table.observe_cell(done.source, done.effects)
-                        if stubs is not None:
-                            stubs.observe_cell(
-                                done.source, opaque=done.effects.opaque_writes
-                            )
-                cell = make_cell_node(
-                    index,
-                    node.cell_source,
-                    label=node.node_id,
-                    execution_count=node.execution_count,
-                    node_id=node.node_id,
-                    summaries=(
-                        table.view_for_cell(node.cell_source)
-                        if table is not None
-                        else None
-                    ),
-                    stubs=stubs,
-                )
-                self._cells[key] = cell
-            if table is not None:
-                table.observe_cell(cell.source, cell.effects)
-            if stubs is not None:
-                stubs.observe_cell(cell.source, opaque=cell.effects.opaque_writes)
-            cells.append(cell)
-        return cells
-
-    def dataflow_graph(self, node_id: str) -> NotebookDataflowGraph:
-        return NotebookDataflowGraph(self._cell_nodes(self.chain_to(node_id)))
+        """The chain's analysed cells, labelled by their checkpoint nodes."""
+        cells = self.analysis([node.cell_source for node in chain])
+        return [
+            replace(cell, label=node.node_id, node_id=node.node_id)
+            for cell, node in zip(cells, chain)
+        ]
 
     # -- planning ------------------------------------------------------------
 
@@ -313,7 +261,7 @@ class ReplayEngine:
         versioned co-variable the replay produced along the way, so
         sibling materializations reuse (and alias with) these objects.
         """
-        if not chain_has(self.graph, node_id):
+        if node_id not in self.graph:
             return self._decline(
                 DeclineReason.NO_CHAIN,
                 f"node {node_id} not in checkpoint graph",
@@ -450,26 +398,22 @@ class ReplayEngine:
             else:
                 node = chain[step.index]
                 cell = cells[step.index]
-                if self.validate:
-                    scratch.begin_recording()
+                scratch.begin_recording()
                 try:
                     code = compile(
                         node.cell_source, f"<replay:{node.node_id}>", "exec"
                     )
                     exec(code, scratch)
                 except Exception as exc:
-                    if self.validate and scratch.recording:
+                    if scratch.recording:
                         scratch.end_recording()
                     return None, (
                         f"replayed cell {node.node_id} raised {exc!r}"
                     )
-                if self.validate:
-                    record = scratch.end_recording()
-                    predicted = filter_user_names(
-                        set(cell.effects.definite_accesses)
-                    )
-                    if predicted - record.accessed:
-                        self.stats.validation_mismatches += 1
+                record = scratch.end_recording()
+                predicted = filter_user_names(set(cell.effects.definite_accesses))
+                if predicted - record.accessed:
+                    self.stats.validation_mismatches += 1
                 self.stats.cells_replayed += 1
                 self._cache_products(node, scratch, cache, report)
         return scratch.user_items(), ""
@@ -500,10 +444,6 @@ class ReplayEngine:
 
 
 _ABSENT = object()
-
-
-def chain_has(graph: CheckpointGraph, node_id: str) -> bool:
-    return node_id in graph
 
 
 def session_cost_model(

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.analysis.dataflow import ChainAnalysis
 from repro.core.covariable import (
     CoVariable,
     CoVariablePool,
@@ -271,9 +272,7 @@ class StateLoader:
         retry: Optional[RetryPolicy] = None,
         observer: Optional[Observer] = None,
         plan_stats: Optional["PlanStats"] = None,
-        use_summaries: bool = True,
-        use_stubs: bool = True,
-        stub_registry: Optional[Any] = None,
+        analysis: Optional[ChainAnalysis] = None,
     ) -> None:
         self.graph = graph
         self.store = store
@@ -282,12 +281,7 @@ class StateLoader:
         self.observer = observer if observer is not None else NO_OBSERVER
         self.planner = CheckoutPlanner(graph)
         self.replay_engine = ReplayEngine(
-            graph,
-            observer=self.observer,
-            stats=plan_stats,
-            use_summaries=use_summaries,
-            use_stubs=use_stubs,
-            stub_registry=stub_registry,
+            graph, observer=self.observer, stats=plan_stats, analysis=analysis
         )
         self.restorer = DataRestorer(
             graph, store, serializer, retry=retry,

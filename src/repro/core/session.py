@@ -23,10 +23,15 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.analysis.crossval import CrossValidator
-from repro.analysis.dataflow import in_place_mutation_targets
+from repro.analysis.dataflow import chain_analysis, in_place_mutation_targets
 from repro.analysis.effects import CellEffects
-from repro.analysis.summaries import NotebookSummaries, PrefixMemo
-from repro.analysis.typetrack import NotebookTypeEnv, StubContext
+from repro.analysis.summaries import (
+    NotebookSummaries,
+    PrefixMemo,
+    StubFold,
+    is_opaque_cell,
+)
+from repro.analysis.typetrack import StubContext
 from repro.analysis.visitor import analyze_cell
 from repro.core.covariable import CoVariablePool, CoVarKey
 from repro.core.delta import DeltaDetector, StateDelta, fold_deltas
@@ -190,9 +195,9 @@ class KishuSession:
         self.summaries: Optional[NotebookSummaries] = (
             NotebookSummaries(stubs=self.stubs) if use_summaries else None
         )
-        #: Summary tables folded by checkout resyncs, by chain prefix, so
-        #: an undo or redo re-analyses only the cells since the deepest
-        #: ancestor already folded (DESIGN.md §14).
+        #: Analysis states folded by checkout resyncs and the replay
+        #: engine, by chain prefix: an undo or redo re-analyses only the
+        #: cells since the deepest ancestor folded (DESIGN.md §14).
         self._resync_memo = PrefixMemo()
 
         # The session's DeltaDetector observes every cell's access record
@@ -209,9 +214,14 @@ class KishuSession:
             retry=self.retry,
             observer=self.observer,
             plan_stats=PlanStats(registry=stats_registry),
-            use_summaries=use_summaries,
-            use_stubs=use_stubs,
-            stub_registry=stub_registry,
+            analysis=chain_analysis(
+                self._resync_memo,
+                use_summaries=use_summaries,
+                use_stubs=use_stubs,
+                stub_registry=(
+                    self.stubs.registry if self.stubs is not None else None
+                ),
+            ),
         )
         self.refs = RefManager()
 
@@ -244,25 +254,7 @@ class KishuSession:
         durability story the SQLite backend (§6.1) exists for.
         """
         session = cls(kernel, store=store, **kwargs)
-        session.graph = CheckpointGraph.from_store(store)
-        session.loader = StateLoader(
-            session.graph,
-            session.store,
-            session.serializer,
-            session.pool,
-            retry=session.retry,
-            observer=session.observer,
-            plan_stats=PlanStats(
-                registry=session.observer.metrics
-                if session.observer.enabled
-                else None
-            ),
-            use_summaries=session.summaries is not None,
-            use_stubs=session.stubs is not None,
-            stub_registry=(
-                session.stubs.registry if session.stubs is not None else None
-            ),
-        )
+        session.graph.load(store)
         session.attach()
         head = session.graph.head_id
         if head != ROOT_ID:
@@ -342,50 +334,43 @@ class KishuSession:
         self.observer.annotate(
             accesses=len(record.accessed), writes=len(record.sets)
         )
+        # The pre-run hook set the effects of every cell that runs.
         effects = self._cell_effects
+        assert effects is not None
         self._cell_effects = None
-        if effects is None and (
-            self.summaries is not None or self.stubs is not None
-        ):
-            effects = self._analyze_cell(result.cell.source)
-        stub_pure: Set[str] = set()
+        source, executed = result.cell.source, result.error is None
+        # Summary- and stub-informed record completion: a helper's
+        # ``STORE_GLOBAL``/``DELETE_GLOBAL`` and stub-declared mutations
+        # and hidden global writes bypass the patched dict, and with the
+        # escape deferred no escalation catches them. Folding them in
+        # keeps Lemma-1 candidate selection sound; the detector discards
+        # any that did not change. Each set is empty when its layer is off.
+        record.sets |= (
+            effects.summary_writes
+            | effects.summary_mutations
+            | effects.stub_mutations
+            | effects.stub_writes
+        )
+        record.deletes |= effects.summary_deletes
         if self.summaries is not None:
             invalidated_before = len(self.summaries.invalidations)
-            self.summaries.observe_cell(
-                result.cell.source, effects, executed=result.error is None
-            )
+            self.summaries.observe_cell(source, effects, executed=executed)
             self.analysis_stats.summary_invalidations += (
                 len(self.summaries.invalidations) - invalidated_before
             )
-            # Summary-informed record completion: ``STORE_GLOBAL`` and
-            # ``DELETE_GLOBAL`` executed inside a called helper bypass the
-            # patched dict, so rebinds/deletes the summaries attribute to
-            # a call site never reach the runtime record — and, with the
-            # escape deferred, no escalation catches them either. Folding
-            # them in keeps Lemma-1 candidate selection sound; the
-            # detector's graph comparison discards any that did not
-            # actually change (e.g. a call guarded by a false branch).
-            record.sets |= effects.summary_writes | effects.summary_mutations
-            record.deletes |= effects.summary_deletes
-        if self.stubs is not None and effects is not None:
-            # Stub-informed record completion, mirroring the summary
-            # fold above: stub-declared receiver/argument mutations and
-            # hidden global writes never hit the patched dict, so they
-            # must join the Lemma-1 candidate set by hand.
-            record.sets |= effects.stub_mutations | effects.stub_writes
-            if result.error is None and effects.syntax_error is None:
-                stub_pure = self._stub_pure_witnesses(result.cell.source, effects)
+        stub_pure: Set[str] = set()
+        if executed and effects.syntax_error is None:
+            stub_pure = self._stub_pure_witnesses(source, effects)
+        if self.stubs is not None:
             # The session owns the stub env lifecycle: exactly one
             # observation per executed cell, after analysis used the
-            # pre-cell environment.
+            # pre-cell environment, with the summary table's opacity rule.
             self.stubs.observe_cell(
-                result.cell.source,
-                executed=result.error is None,
-                opaque=effects.opaque_writes,
+                source, executed=executed, opaque=is_opaque_cell(effects)
             )
         self._commit(
             record,
-            result.cell.source,
+            source,
             result.execution_count,
             cell_duration=result.duration,
             tags=result.cell.tags,
@@ -522,7 +507,7 @@ class KishuSession:
             # checkpoint is intact — so the response is observational:
             # count the mismatch, emit events, and mark the checkpoint
             # escalated so downstream consumers distrust the cell.
-            if self.stubs is not None and stub_pure:
+            if stub_pure:
                 refuted = self._refuted_stub_purity(
                     delta, record, effects, stub_pure
                 )
@@ -793,32 +778,28 @@ class KishuSession:
         invalidation events) must not leak into analyses of cells run
         from here on. Rebuilding from the target's chain sources is
         exactly the replay both tables would have observed live; the
-        prefix memo resumes it from the deepest ancestor an earlier
-        resync folded.
+        prefix memo resumes it from the deepest ancestor an earlier fold
+        (a resync, or the replay engine's analysis) folded.
         """
         if self.summaries is None and self.stubs is None:
             return
-        sources = [
-            self.graph.get(ancestor).cell_source
-            for ancestor in reversed(self.graph.path_to_root(target_id))
-            if ancestor != ROOT_ID
-        ]
+        chain = self.loader.replay_engine.chain_to(target_id)
+        sources = [node.cell_source for node in chain]
+        memo = self._resync_memo
         if self.summaries is not None:
             # from_sources leaves the shared stub context's env at the
             # same point as the table, keeping the two in lockstep.
-            memo = self._resync_memo
             self.summaries = NotebookSummaries.from_sources(
                 sources, stubs=self.stubs, memo=memo
             )
-            reused, folded = memo.reused, memo.folded
         else:
             assert self.stubs is not None
-            self.stubs.env = NotebookTypeEnv.from_sources(
-                sources, self.stubs.registry
-            )
-            reused, folded = 0, len(sources)
-        self.observer.count("checkout.resync.reused", reused)
-        self.observer.count("checkout.resync.folded", folded)
+            registry = self.stubs.registry
+            state, _ = memo.fold(sources, StubFold(StubContext(registry)), registry)
+            assert state.stubs is not None
+            self.stubs.env = state.stubs.env
+        self.observer.count("checkout.resync.reused", memo.reused)
+        self.observer.count("checkout.resync.folded", memo.folded)
 
     def _discard_carryover_after_checkout(
         self, target_id: str, report: CheckoutReport

@@ -51,11 +51,6 @@ class AccessRecord:
         """All names touched in any way (Definition 3 of the paper)."""
         return self.gets | self.sets | self.deletes
 
-    def merge(self, other: "AccessRecord") -> None:
-        self.gets |= other.gets
-        self.sets |= other.sets
-        self.deletes |= other.deletes
-
 
 class PatchedNamespace(dict):
     """A ``dict`` recording every get/set/delete of user variable names.

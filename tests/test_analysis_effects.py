@@ -285,19 +285,6 @@ class TestDerivedViewsAndMerge:
         effects = analyze_cell("a = 1\nif a:\n    b = 2")
         assert effects.all_writes == frozenset({"a", "b"})
 
-    def test_merge_unions_sets_and_concatenates_escapes(self):
-        first = analyze_cell("x = 1")
-        second = analyze_cell("y = eval('2')")
-        merged = first.merge(second)
-        assert merged.writes == {"x", "y"}
-        assert len(merged.escapes) == 1
-        assert merged.is_opaque
-
-    def test_merge_propagates_syntax_error(self):
-        good = analyze_cell("x = 1")
-        bad = analyze_cell("def broken(:")
-        assert good.merge(bad).syntax_error is not None
-
     def test_empty_cell(self):
         effects = analyze_cell("")
         assert not effects.all_accessed

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.kernel.namespace import (
-    AccessRecord,
     PatchedNamespace,
     filter_user_names,
     is_user_variable,
@@ -55,15 +54,6 @@ class TestRecordingWindows:
         exec("x = 1", ns)  # machinery touches __builtins__ etc.
         record = ns.end_recording()
         assert all(not n.startswith("__") for n in record.accessed)
-
-    def test_merge_accumulates(self):
-        first = AccessRecord()
-        first.gets.add("a")
-        second = AccessRecord()
-        second.sets.add("b")
-        second.deletes.add("c")
-        first.merge(second)
-        assert first.accessed == {"a", "b", "c"}
 
 
 class TestUntrackedAccess:

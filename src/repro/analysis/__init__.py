@@ -86,7 +86,6 @@ from repro.analysis.summaries import (
 from repro.analysis.typetrack import (
     AbstractType,
     CellResolver,
-    NotebookTypeEnv,
     ResolvedCall,
     StubContext,
     UnknownLibraryCall,
@@ -120,7 +119,6 @@ __all__ = [
     "NotebookDataflowGraph",
     "NotebookLintRule",
     "NotebookSummaries",
-    "NotebookTypeEnv",
     "PURE_BUILTINS",
     "PURE_METHODS",
     "PlanStep",

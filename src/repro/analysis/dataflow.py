@@ -403,42 +403,41 @@ def make_cell_node(index: int, source: str, *, label: Optional[str] = None) -> C
     return node if label is None else replace(node, label=label)
 
 
-#: Analyses one chain of cell sources, in execution order, into its cell
-#: nodes (labelled ``cell[i]``; callers relabel). See :func:`chain_analysis`.
-ChainAnalysis = Callable[[Sequence[str]], List[CellNode]]
+#: Analyses one chain of cell sources, in execution order, with each
+#: cell's outcome (``None``: every cell ran), into its cell nodes
+#: (labelled ``cell[i]``; callers relabel). See :func:`chain_analysis`.
+ChainAnalysis = Callable[[Sequence[str], Optional[Sequence[bool]]], List[CellNode]]
 
 
 def chain_analysis(
-    memo: "PrefixMemo",
-    *,
-    use_summaries: bool = True,
-    use_stubs: bool = True,
-    stub_registry: "Optional[StubRegistry]" = None,
+    memo: "PrefixMemo", start: "Optional[FoldState]" = None
 ) -> ChainAnalysis:
     """Analyse chains through ``memo``'s fold (DESIGN.md §14).
 
     Each call folds the chain with
-    :meth:`~repro.analysis.summaries.PrefixMemo.fold` in the given
-    configuration, then builds the cell nodes the memo lacks from the
-    fold's effects, caching them under the chain's prefix keys. So
-    cells another fold through the memo (a checkout's resync) analysed
+    :meth:`~repro.analysis.summaries.PrefixMemo.fold` from ``start``, an
+    empty analysis state in the configuration to fold (default: summaries
+    and the default stubs), then builds the cell nodes the memo lacks
+    from the fold's effects, caching them under the chain's prefix keys.
+    So cells another fold through the memo (a checkout's resync) analysed
     are not analysed again, and that fold never pays for nodes. The
-    closure holds only the memo and the configuration: a session that
-    hands it to its replay engine stays free of reference cycles.
+    closure holds only the memo and that state: a session that hands it
+    to its replay engine stays free of reference cycles.
     """
-    from repro.analysis.summaries import NotebookSummaries, StubFold, prefix_keys
+    from repro.analysis.summaries import NotebookSummaries, prefix_keys
     from repro.analysis.typetrack import StubContext
 
-    stubs = StubContext(stub_registry) if use_stubs else None
-    registry = stubs.registry if stubs is not None else None
-    start: "FoldState" = (
-        NotebookSummaries(stubs) if use_summaries else StubFold(stubs)
+    blank: "FoldState" = (
+        start if start is not None else NotebookSummaries(StubContext())
     )
+    interprocedural = isinstance(blank, NotebookSummaries)
 
-    def analyse(sources: Sequence[str]) -> List[CellNode]:
-        state, effects = memo.fold(sources, start, registry)
+    def analyse(
+        sources: Sequence[str], executed: Optional[Sequence[bool]]
+    ) -> List[CellNode]:
+        state, effects = memo.fold(sources, blank, executed)
         cells: List[CellNode] = []
-        for index, key in enumerate(prefix_keys(sources)):
+        for index, key in enumerate(prefix_keys(sources, executed)):
             cell = memo.nodes.get(key)
             if cell is None:
                 cell = memo.nodes[key] = _cell_node(
@@ -446,7 +445,7 @@ def chain_analysis(
                     sources[index],
                     effects[index],
                     state.stubs,
-                    interprocedural=use_summaries,
+                    interprocedural=interprocedural,
                 )
             cells.append(cell)
         return cells
@@ -598,14 +597,12 @@ class NotebookDataflowGraph:
         type bindings earlier cells established (``stub_registry``, or
         the shipped default registry).
         """
-        from repro.analysis.summaries import PrefixMemo
+        from repro.analysis.summaries import NotebookSummaries, PrefixMemo, StubFold
+        from repro.analysis.typetrack import StubContext
 
-        cells = chain_analysis(
-            PrefixMemo(),
-            use_summaries=use_summaries,
-            use_stubs=use_stubs,
-            stub_registry=stub_registry,
-        )(list(sources))
+        stubs = StubContext(stub_registry) if use_stubs else None
+        start = NotebookSummaries(stubs) if use_summaries else StubFold(stubs)
+        cells = chain_analysis(PrefixMemo(), start)(list(sources), None)
         if labels is not None:
             cells = [replace(cell, label=labels[cell.index]) for cell in cells]
         return cls(cells)

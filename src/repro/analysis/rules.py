@@ -544,13 +544,12 @@ class LintEngine:
         # The KSH40x rules need the interprocedural summary table, the
         # KSH50x rules the stub type environment; the KSH30x graph stays
         # intraprocedural so its findings do not shift with either layer.
-        stubs = StubContext()
         summaries = NotebookSummaries.from_sources(
-            [source for _, source in pairs], stubs=stubs
+            [source for _, source in pairs], stubs=StubContext()
         )
         notebook = NotebookContext(
             graph=graph, execution_counts=counts, summaries=summaries,
-            stubs=stubs,
+            stubs=summaries.stubs,
         )
         for rule in default_notebook_rules():
             for finding in rule.check_notebook(notebook):

@@ -34,14 +34,21 @@ classic bottom-up summary analysis over the notebook's call graph:
   star import, ``globals()``…) invalidates everything, because it can
   rebind any name without the analysis seeing it.
 
+* **One step per cell** — :meth:`NotebookSummaries.analyze` before the
+  cell runs, :meth:`NotebookSummaries.observe` after, with whether it
+  raised; the table threads its stub context, and a :class:`StubFold`
+  is the state with summaries off. A session steps its live state from
+  the kernel hooks, a fold steps a copy over a chain, so they agree.
+
 * **Prefix memo** — the table is an append-only log indexed by cell
   position, so the table after the first ``k`` cells of a fold is a
   truncating copy (:meth:`NotebookSummaries.fork`). A :class:`PrefixMemo`
-  keeps folded states by source prefix, and :meth:`PrefixMemo.fold`
-  resumes from the deepest prefix it already holds. It is the one fold
-  of a chain: a checkout's resync (:meth:`NotebookSummaries.from_sources`,
-  or a :class:`StubFold` with summaries off), the replay engine and
-  file-mode dataflow all run it.
+  keeps folded states by prefix of sources and outcomes, and
+  :meth:`PrefixMemo.fold` resumes from the deepest prefix it already
+  holds. It is the one fold of a chain: a checkout's resync
+  (:meth:`NotebookSummaries.from_sources`, or
+  :meth:`StubFold.from_sources` with summaries off), the replay engine
+  and file-mode dataflow all run it.
 
 Soundness contract with the CrossValidator (DESIGN.md §14): deferring a
 def-site escape is safe only if every path by which the body's hidden
@@ -76,11 +83,9 @@ from typing import (
     Set,
     Tuple,
     TypeVar,
-    Union,
 )
 
 from repro.analysis.effects import CellEffects, Escape, EscapeKind, Span
-from repro.analysis.stubs import StubRegistry
 from repro.analysis.typetrack import (
     CellResolver,
     StubContext,
@@ -984,30 +989,87 @@ class SummaryView:
         )
 
 
-class NotebookSummaries:
-    """Versioned function-summary table over one cell execution history.
+class StubFold:
+    """The analysis state of a notebook with summaries off: its stub type
+    environment alone, or nothing when stubs are off too.
 
-    Feed it cells in execution order. For each cell,
-    :meth:`view_for_cell` yields the :class:`SummaryView` the
-    interprocedural :func:`~repro.analysis.visitor.analyze_cell` should
-    analyze it with (earlier cells' live summaries plus the cell's own
-    definitions, so same-cell def-then-call expands), and
-    :meth:`observe_cell` commits the cell's binding events — new
-    summaries, rebind invalidations, opaque-cell wipes — advancing the
-    table. :meth:`advance` combines both and is what file-mode consumers
-    (CLI, lint, dataflow) use; the live session splits the two around
-    actual execution so failed cells invalidate but never register.
+    A cell is one step of the state: :meth:`analyze` before it runs,
+    :meth:`observe` after, with whether it raised; :meth:`advance` is
+    both, the step a fold takes. :class:`NotebookSummaries` extends the
+    state with the summary table, and a :class:`PrefixMemo` folds either.
     """
 
     def __init__(self, stubs: Optional[StubContext] = None) -> None:
+        #: The context library calls resolve against (DESIGN.md §15).
+        self.stubs = stubs
+
+    @classmethod
+    def from_sources(
+        cls,
+        sources: Sequence[str],
+        executed: Optional[Sequence[bool]] = None,
+        *,
+        stubs: Optional[StubContext] = None,
+        memo: Optional["PrefixMemo"] = None,
+    ) -> "StubFold":
+        """The state after ``sources`` ran in order, from the empty state.
+
+        ``executed`` holds each source's outcome (False: the cell raised;
+        default all True). With ``stubs`` the state threads a context
+        over its registry, from the empty environment. The fold is
+        :meth:`PrefixMemo.fold`: with a ``memo`` it resumes from the
+        deepest prefix that memo already holds, without one it folds
+        every source. The result is a copy the caller may advance.
+        """
+        start = cls(StubContext(stubs.registry) if stubs is not None else None)
+        memo = memo if memo is not None else PrefixMemo()
+        state, _ = memo.fold(sources, start, executed)
+        assert isinstance(state, cls)
+        return state
+
+    def fork(self, k: int) -> "StubFold":
+        """An independent copy as of before cell ``k``."""
+        return StubFold(self.stubs.fork(k) if self.stubs is not None else None)
+
+    def analyze(self, source: str) -> CellEffects:
+        """Analyze ``source``, the next cell, intraprocedurally."""
+        return analyze_cell(source, stubs=self.stubs)
+
+    def observe(
+        self, source: str, effects: CellEffects, executed: bool = True
+    ) -> int:
+        """Step past a cell :meth:`analyze` gave ``effects``, ``executed``
+        False if it raised; returns how many summaries it invalidated."""
+        if self.stubs is not None:
+            self.stubs.observe_cell(
+                source, executed=executed, opaque=is_opaque_cell(effects)
+            )
+        return 0
+
+    def advance(self, source: str, executed: bool = True) -> CellEffects:
+        """:meth:`analyze` one cell, then :meth:`observe` it."""
+        effects = self.analyze(source)
+        self.observe(source, effects, executed)
+        return effects
+
+
+class NotebookSummaries(StubFold):
+    """Versioned function-summary table over one cell execution history.
+
+    Feed it cells in execution order, one :class:`StubFold` step each.
+    :meth:`analyze` analyzes a cell through :meth:`view_for_cell` (earlier
+    cells' live summaries plus the cell's own definitions, so same-cell
+    def-then-call expands); :meth:`observe` commits its binding events —
+    new summaries, rebind invalidations, opaque-cell wipes — to the table
+    (:meth:`observe_cell`) and its stub context: a cell that raised
+    invalidates but never registers.
+    """
+
+    def __init__(self, stubs: Optional[StubContext] = None) -> None:
+        super().__init__(stubs)
         self._events: Dict[str, List[Tuple[int, Optional[RawSummary]]]] = {}
         self._invalidations: List[InvalidationRecord] = []
         self._next_index = 0
-        #: Library-stub context the extractor resolves library calls
-        #: against (DESIGN.md §15). The table never advances it — the
-        #: notebook-lifecycle owner calls ``stubs.observe_cell`` (or the
-        #: table's own :meth:`advance` does, when it is the driver).
-        self._stubs = stubs
         self._extract_cache: _LRU[
             Tuple[str, Optional[str]], Dict[str, RawSummary]
         ] = _LRU()
@@ -1022,29 +1084,15 @@ class NotebookSummaries:
     def from_sources(
         cls,
         sources: Sequence[str],
+        executed: Optional[Sequence[bool]] = None,
+        *,
         stubs: Optional[StubContext] = None,
         memo: Optional["PrefixMemo"] = None,
     ) -> "NotebookSummaries":
-        """The table after ``sources`` ran in order, from the empty table.
-
-        ``stubs``, when given, is the context library calls resolve
-        against; it ends at the type environment after the last source,
-        whatever it held before. The fold is :meth:`PrefixMemo.fold`:
-        with a ``memo`` it resumes from the deepest prefix of ``sources``
-        that memo already holds, without one it folds every source. The
-        result is a copy the caller may advance.
-        """
-        registry = stubs.registry if stubs is not None else None
-        start = cls(StubContext(registry) if stubs is not None else None)
-        memo = memo if memo is not None else PrefixMemo()
-        table, _ = memo.fold(sources, start, registry)
+        """The table after ``sources`` ran in order
+        (:meth:`StubFold.from_sources`)."""
+        table = super().from_sources(sources, executed, stubs=stubs, memo=memo)
         assert isinstance(table, NotebookSummaries)
-        if stubs is not None:
-            # The caller's context takes over the folded environment.
-            assert table._stubs is not None
-            stubs.env = table._stubs.env
-            stubs.env.registry = stubs.registry
-            table._stubs = stubs
         return table
 
     def fork(self, k: int) -> "NotebookSummaries":
@@ -1054,13 +1102,13 @@ class NotebookSummaries:
         under the index of the cell that caused it, so the copy is a
         truncation and analyses nothing, and the stub context is rewound
         to the environment before cell ``k``
-        (:meth:`~repro.analysis.typetrack.NotebookTypeEnv.fork`). The
+        (:meth:`~repro.analysis.typetrack.StubContext.fork`). The
         copy starts with empty caches: cached resolutions are keyed by
         cell index, which a copy that advances differently may reuse for
         other cells.
         """
         copy = NotebookSummaries(
-            self._stubs.fork(k) if self._stubs is not None else None
+            self.stubs.fork(k) if self.stubs is not None else None
         )
         for name, events in self._events.items():
             kept = [event for event in events if event[0] < k]
@@ -1073,12 +1121,7 @@ class NotebookSummaries:
         return copy
 
     def _stub_token(self) -> Optional[str]:
-        return self._stubs.fingerprint() if self._stubs is not None else None
-
-    @property
-    def stubs(self) -> Optional[StubContext]:
-        """The stub context library calls resolve against, if any."""
-        return self._stubs
+        return self.stubs.fingerprint() if self.stubs is not None else None
 
     @property
     def next_index(self) -> int:
@@ -1181,7 +1224,7 @@ class NotebookSummaries:
         except SyntaxError:
             return {}
         resolver = (
-            self._stubs.resolver(module) if self._stubs is not None else None
+            self.stubs.resolver(module) if self.stubs is not None else None
         )
         raws = extract_cell_summaries(
             module, self._next_index, resolver=resolver
@@ -1328,19 +1371,17 @@ class NotebookSummaries:
 
         self._next_index += 1
 
-    def advance(self, source: str) -> CellEffects:
-        """Analyze one cell interprocedurally and commit its events.
+    def analyze(self, source: str) -> CellEffects:
+        """Analyze ``source``, the next cell, interprocedurally."""
+        return analyze_cell(source, self.view_for_cell(source), stubs=self.stubs)
 
-        When the table carries a stub context it is the notebook driver
-        here, so it also advances the type environment — callers that
-        drive :meth:`observe_cell` themselves own that lifecycle instead.
-        """
-        view = self.view_for_cell(source)
-        effects = analyze_cell(source, view, stubs=self._stubs)
-        self.observe_cell(source, effects)
-        if self._stubs is not None:
-            self._stubs.observe_cell(source, opaque=is_opaque_cell(effects))
-        return effects
+    def observe(
+        self, source: str, effects: CellEffects, executed: bool = True
+    ) -> int:
+        invalidated = len(self._invalidations)
+        self.observe_cell(source, effects, executed=executed)
+        super().observe(source, effects, executed)
+        return len(self._invalidations) - invalidated
 
     # -- reporting -----------------------------------------------------------
 
@@ -1364,44 +1405,25 @@ class NotebookSummaries:
         }
 
 
-class StubFold:
-    """The analysis state of a notebook with summaries off: its stub type
-    environment alone, or nothing when stubs are off too.
-
-    It has the fold interface of :class:`NotebookSummaries` (``fork``,
-    ``advance`` and ``stubs``), so a :class:`PrefixMemo` memoizes the
-    folds of a session in any configuration.
-    """
-
-    def __init__(self, stubs: Optional[StubContext] = None) -> None:
-        self.stubs = stubs
-
-    def fork(self, k: int) -> "StubFold":
-        """An independent copy as of before cell ``k``."""
-        return StubFold(self.stubs.fork(k) if self.stubs is not None else None)
-
-    def advance(self, source: str) -> CellEffects:
-        """Analyze one cell intraprocedurally and advance the environment."""
-        effects = analyze_cell(source, stubs=self.stubs)
-        if self.stubs is not None:
-            self.stubs.observe_cell(source, opaque=is_opaque_cell(effects))
-        return effects
+#: An analysis state :meth:`PrefixMemo.fold` folds: a :class:`StubFold`,
+#: or the :class:`NotebookSummaries` table that extends it.
+FoldState = StubFold
 
 
-#: An analysis state :meth:`PrefixMemo.fold` folds: a summary table (which
-#: threads its stub context), or a :class:`StubFold`.
-FoldState = Union[NotebookSummaries, StubFold]
+def prefix_keys(
+    sources: Sequence[str], executed: Optional[Sequence[bool]] = None
+) -> List[Tuple[int, int]]:
+    """``(k, fingerprint of the first k sources and outcomes)`` for
+    k = 1..len; ``executed`` defaults to all True.
 
-
-def prefix_keys(sources: Sequence[str]) -> List[Tuple[int, int]]:
-    """``(k, fingerprint of the first k sources)`` for k = 1..len.
-
-    The fingerprint is hash-chained, so a source edited in place changes
-    every key from its position on."""
+    The fingerprint is hash-chained, so a source edited in place, or a
+    cell that raised where another run did not, changes every key from
+    its position on."""
+    outcomes = executed or [True] * len(sources)
     keys: List[Tuple[int, int]] = []
     fingerprint = 0
-    for k, source in enumerate(sources, 1):
-        fingerprint = hash((fingerprint, source))
+    for k, (source, ran) in enumerate(zip(sources, outcomes), 1):
+        fingerprint = hash((fingerprint, source, ran))
         keys.append((k, fingerprint))
     return keys
 
@@ -1409,8 +1431,9 @@ def prefix_keys(sources: Sequence[str]) -> List[Tuple[int, int]]:
 class PrefixMemo:
     """Folded analysis states by source prefix (DESIGN.md §14).
 
-    Each key of a folded chain — see :func:`prefix_keys` — maps to a
-    state that folded at least that prefix, and to the effects of the
+    Each key of a folded chain — see :func:`prefix_keys`; it covers the
+    sources and their outcomes — maps to a state that folded at least
+    that prefix, and to the effects of the
     prefix's last cell; ``fork`` cuts the state after the first ``k``
     cells back out. A stored state is a copy no caller holds, and it is
     never advanced. A later fold re-points every key of its chain at its
@@ -1440,30 +1463,34 @@ class PrefixMemo:
         self,
         sources: Sequence[str],
         start: FoldState,
-        registry: Optional[StubRegistry],
+        executed: Optional[Sequence[bool]] = None,
     ) -> Tuple[FoldState, List[CellEffects]]:
         """The state after ``sources`` ran in order, and each source's
         effects.
 
+        ``executed`` holds each source's outcome (default all True).
         Forks the deepest prefix of ``sources`` the memo holds, or
         ``start`` (the state before any source; it is never advanced),
         advances the fork over the rest, and remembers the result under
-        every key of the chain. ``registry`` is the stub registry the states
-        resolve against. The state equals a fold of every source from
-        ``start`` either way, and is a copy the caller may advance.
+        every key of the chain. States resolve library calls against the
+        registry of ``start``'s stub context. The state equals a fold of
+        every source from ``start`` either way, and is a copy the caller
+        may advance.
         """
+        registry = start.stubs.registry if start.stubs is not None else None
         token = registry.fingerprint() if registry is not None else None
         if token != self._registry:
             self._tables.clear()
             self._effects.clear()
             self.nodes.clear()
             self._registry = token
-        keys = prefix_keys(sources)
+        outcomes = executed or [True] * len(sources)
+        keys = prefix_keys(sources, outcomes)
         k = next((key[0] for key in reversed(keys) if key in self._tables), 0)
         state = (self._tables[keys[k - 1]] if k else start).fork(k)
         effects = [self._effects[key] for key in keys[:k]]
-        for source in sources[k:]:
-            effects.append(state.advance(source))
+        for source, ran in zip(sources[k:], outcomes[k:]):
+            effects.append(state.advance(source, ran))
         if k < len(sources):
             stored = state.fork(len(sources))
             for key, cell_effects in zip(keys, effects):

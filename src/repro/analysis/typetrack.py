@@ -27,19 +27,18 @@ missed binding costs precision, never correctness), and even a wrong
 stub fired on a correctly-typed receiver is caught at runtime by the
 CrossValidator's stub-mismatch check — declared trust, verified deltas.
 
-Per notebook, :class:`NotebookTypeEnv` carries bindings across cells
-with the same lifecycle as the summary table: executed cells apply
-their exported bindings, opaque cells (``exec`` / ``globals()`` / star
+Per notebook, :class:`StubContext` binds a registry to the environment
+carried across cells, with the same lifecycle as the summary table:
+executed cells apply their exported bindings, a cell that raised drops
+every name it binds, opaque cells (``exec`` / ``globals()`` / star
 imports) wipe the environment, and per-cell snapshots let the lint
 rules re-resolve cells as they ran. A driver that has a cell's effects
-(the session's hooks, every fold) decides opacity by the summary
-table's own rule, :func:`~repro.analysis.summaries.is_opaque_cell`;
-one without (``repro stubs check``) scans the cell for ``exec``-like
-calls. :class:`StubContext` bundles a registry with one environment —
-the single object the session, the summary extractor and the chain fold
-share. Both fork at any cell, so a
-:class:`~repro.analysis.summaries.PrefixMemo` memoizes the environment
-with the summary table or, with summaries off, alone
+(the session's analysis state, every fold) decides opacity by the
+summary table's own rule,
+:func:`~repro.analysis.summaries.is_opaque_cell`; one without (``repro
+stubs check``) scans the cell for ``exec``-like calls. A context forks
+at any cell, so a :class:`~repro.analysis.summaries.PrefixMemo`
+memoizes it inside the summary table or, with summaries off, alone
 (:class:`~repro.analysis.summaries.StubFold`).
 """
 
@@ -499,14 +498,16 @@ def _module_is_opaque(module: ast.Module) -> bool:
     return False
 
 
-class NotebookTypeEnv:
-    """Abstract-type bindings carried across one notebook's cells.
+class StubContext:
+    """A stub registry bound to one notebook's abstract-type environment.
 
     Mirrors the :class:`~repro.analysis.summaries.NotebookSummaries`
-    lifecycle: ``observe_cell`` after each *executed* cell applies its
-    exported bindings (opaque and star-import cells wipe everything —
-    the namespace may have been arbitrarily rebound), and per-cell
-    snapshots support retrospective ``as-run`` resolution for lint.
+    lifecycle: :meth:`observe_cell` after each cell applies the names it
+    binds (opaque and star-import cells wipe everything — the namespace
+    may have been arbitrarily rebound), and per-cell snapshots support
+    retrospective ``as-run`` resolution for lint. It is the one handle
+    the session's analysis state, the summary extractor and the chain
+    fold resolve library calls through.
     """
 
     def __init__(self, registry: Optional[StubRegistry] = None) -> None:
@@ -545,12 +546,11 @@ class NotebookTypeEnv:
         ``opaque`` should be
         :func:`~repro.analysis.summaries.is_opaque_cell` of the cell's
         effects when the caller has analyzed it; left ``None``, a
-        light-weight scan decides. Non-executed cells keep the
-        environment unchanged.
+        light-weight scan decides. A cell that raised (``executed`` is
+        False) may have rebound any name it binds before it stopped, so
+        it drops every one of them and applies none.
         """
         self._snapshots.append(dict(self._env))
-        if not executed:
-            return
         try:
             module = ast.parse(source)
         except SyntaxError:
@@ -562,23 +562,24 @@ class NotebookTypeEnv:
             self._env = {}
             return
         for name, bound in resolver.exports().items():
-            if bound is None:
+            if bound is None or not executed:
                 self._env.pop(name, None)
             else:
                 self._env[name] = bound
 
-    def fork(self, k: int) -> "NotebookTypeEnv":
-        """An independent copy of this environment as of before cell ``k``.
+    def fork(self, k: int) -> "StubContext":
+        """An independent copy as of before cell ``k``, over the same
+        registry.
 
         Cell ``i`` appends the snapshot before it, so the copy keeps the
         first ``k`` snapshots and resumes from the ``k``-th. Snapshots are
         never mutated once taken, so the copy shares them.
         """
-        env = NotebookTypeEnv(self.registry)
-        env._snapshots = self._snapshots[:k]
+        context = StubContext(self.registry)
+        context._snapshots = self._snapshots[:k]
         current = self._snapshots[k] if k < len(self._snapshots) else self._env
-        env._env = dict(current)
-        return env
+        context._env = dict(current)
+        return context
 
     def fingerprint(self) -> str:
         parts = sorted(
@@ -587,44 +588,5 @@ class NotebookTypeEnv:
         )
         import hashlib
 
-        return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:12]
-
-
-class StubContext:
-    """A stub registry bound to one notebook's type environment.
-
-    The single handle the session, the dataflow graph builder, and the
-    summary extractor share; whoever owns the notebook lifecycle calls
-    :meth:`observe_cell` exactly once per executed cell.
-    """
-
-    def __init__(
-        self,
-        registry: Optional[StubRegistry] = None,
-        env: Optional[NotebookTypeEnv] = None,
-    ) -> None:
-        self.registry = registry if registry is not None else default_registry()
-        self.env = env if env is not None else NotebookTypeEnv(self.registry)
-
-    def resolver(self, module: ast.Module) -> CellResolver:
-        return self.env.resolver(module)
-
-    def resolver_as_run(self, index: int, module: ast.Module) -> CellResolver:
-        return self.env.resolver_as_run(index, module)
-
-    def observe_cell(
-        self,
-        source: str,
-        *,
-        executed: bool = True,
-        opaque: Optional[bool] = None,
-    ) -> None:
-        self.env.observe_cell(source, executed=executed, opaque=opaque)
-
-    def fork(self, k: int) -> "StubContext":
-        """An independent copy as of before cell ``k``
-        (:meth:`NotebookTypeEnv.fork`), over the same registry."""
-        return StubContext(self.registry, self.env.fork(k))
-
-    def fingerprint(self) -> str:
-        return f"{self.registry.fingerprint()}:{self.env.fingerprint()}"
+        env = hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:12]
+        return f"{self.registry.fingerprint()}:{env}"

@@ -5,7 +5,7 @@ graph. Each node corresponds to one cell execution *CE t* and stores:
 
 1. the state delta of CE *t* — which co-variables it updated (payloads live
    in the checkpoint store) and which it deleted,
-2. the cell's code, and
+2. the cell's code, and whether it ran to the end or raised,
 3. the versioned co-variables CE *t* accessed — its dependencies, enabling
    fallback recomputation (§5.3),
 
@@ -57,6 +57,9 @@ class CheckpointNode:
     deleted: Set[CoVarKey] = field(default_factory=set)
     dependencies: Dict[CoVarKey, str] = field(default_factory=dict)
     state: SessionState = field(default_factory=SessionState)
+    #: False when the cell raised: the analysis folds its source as a
+    #: cell that may have stopped anywhere (DESIGN.md §14).
+    executed: bool = True
 
     @property
     def is_root(self) -> bool:
@@ -127,6 +130,7 @@ class CheckpointGraph:
         deleted: Set[CoVarKey],
         dependencies: Dict[CoVarKey, str],
         parent_id: Optional[str] = None,
+        executed: bool = True,
     ) -> CheckpointNode:
         """Append a checkpoint under the head (or an explicit parent).
 
@@ -147,6 +151,7 @@ class CheckpointGraph:
             deleted=set(deleted),
             dependencies=dict(dependencies),
             state=parent.state.child(node_id, updated.keys(), deleted),
+            executed=executed,
         )
         self._next_timestamp += 1
         self._nodes[node_id] = node
@@ -304,6 +309,7 @@ class CheckpointGraph:
                 updated=updated,
                 deleted=set(record.deleted_keys),
                 dependencies=dict(record.dependencies),
+                executed=record.executed,
             )
             self._adopt(node)
 

@@ -143,7 +143,9 @@ class ReplayEngine:
 
     def _cell_nodes(self, chain: List[CheckpointNode]) -> List[CellNode]:
         """The chain's analysed cells, labelled by their checkpoint nodes."""
-        cells = self.analysis([node.cell_source for node in chain])
+        cells = self.analysis(
+            [node.cell_source for node in chain], [node.executed for node in chain]
+        )
         return [
             replace(cell, label=node.node_id, node_id=node.node_id)
             for cell, node in zip(cells, chain)
@@ -376,7 +378,11 @@ class ReplayEngine:
         incomplete result) — the detail feeds the decline record.
         """
         cells = self._cell_nodes(chain)
-        scratch = PatchedNamespace({"__builtins__": __builtins__})
+        # ``__name__`` as in the kernel: a replayed def or class gets the
+        # ``__module__`` the cell gave it.
+        scratch = PatchedNamespace(
+            {"__builtins__": __builtins__, "__name__": "__main__"}
+        )
         for step in plan.steps:
             if step.kind == "load":
                 covar = frozenset(step.names)

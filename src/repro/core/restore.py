@@ -216,7 +216,7 @@ class DataRestorer:
                 f"cannot recompute co-variable {sorted(key)}: node {node_id} "
                 "records no cell code"
             )
-        temp_ns: Dict[str, Any] = {"__builtins__": __builtins__}
+        temp_ns: Dict[str, Any] = {"__builtins__": __builtins__, "__name__": "__main__"}
         for dep_key, dep_node in node.dependencies.items():
             dep_values = self._materialize(
                 dep_key, dep_node, globals_for_load, cache, report, depth + 1

@@ -26,13 +26,12 @@ from repro.analysis.crossval import CrossValidator
 from repro.analysis.dataflow import chain_analysis, in_place_mutation_targets
 from repro.analysis.effects import CellEffects
 from repro.analysis.summaries import (
+    FoldState,
     NotebookSummaries,
     PrefixMemo,
     StubFold,
-    is_opaque_cell,
 )
 from repro.analysis.typetrack import StubContext
-from repro.analysis.visitor import analyze_cell
 from repro.core.covariable import CoVariablePool, CoVarKey
 from repro.core.delta import DeltaDetector, StateDelta, fold_deltas
 from repro.core.graph import CheckpointGraph, CheckpointNode, PayloadInfo, ROOT_ID
@@ -123,7 +122,13 @@ class LogEntry:
 
 
 class KishuSession:
-    """Time-traveling controller attached to one notebook kernel."""
+    """Time-traveling controller attached to one notebook kernel.
+
+    Its :attr:`analysis` state (DESIGN.md §14) is stepped by the kernel
+    hooks the way a fold of the head's chain steps it — each cell is
+    analysed before it runs and observed after, with whether it raised —
+    and a checkout replaces it with the fold of the target's chain.
+    """
 
     def __init__(
         self,
@@ -174,27 +179,26 @@ class KishuSession:
         self.validator = CrossValidator(stats=AnalysisStats(registry=stats_registry))
         self.analysis_stats = self.validator.stats
         self._installed_analyzer = False
-        #: Interprocedural function-effect summaries (DESIGN.md §14). The
-        #: table is fed every committed cell in execution order; the
-        #: pre-run analyzer consults its current view so call sites expand
-        #: through helper summaries and escape-carrying helper bodies are
-        #: charged to the cells that call them, not the cells that define
-        #: them. ``use_summaries=False`` reverts to the PR 3/4
-        #: intraprocedural analysis (the benchmark baseline).
-        #: Library effect stubs (DESIGN.md §15): declarative third-party
-        #: call models plus the notebook's abstract-type environment. The
-        #: session owns the lifecycle — it advances the environment once
-        #: per executed cell in ``_on_post_run`` and resyncs it at
-        #: checkout. ``use_stubs=False`` reverts library calls to the
+        #: The analysis state. With summaries on it is a
+        #: :class:`NotebookSummaries` (DESIGN.md §14): the pre-run analyzer
+        #: consults its view, so call sites expand through helper
+        #: summaries and escape-carrying helper bodies are charged to the
+        #: cells that call them, not the cells that define them.
+        #: ``use_summaries=False`` reverts to the intraprocedural analysis
+        #: (the benchmark baseline), a :class:`StubFold`. Either
+        #: threads a :class:`StubContext` (DESIGN.md §15): declarative
+        #: third-party call models plus the notebook's abstract-type
+        #: environment. ``use_stubs=False`` reverts library calls to the
         #: conservative treatment (the benchmark baseline);
         #: ``stub_registry`` substitutes a custom
         #: :class:`~repro.analysis.stubs.StubRegistry` (user stub files).
-        self.stubs: Optional[StubContext] = (
-            StubContext(registry=stub_registry) if use_stubs else None
+        stubs = StubContext(registry=stub_registry) if use_stubs else None
+        self.analysis: FoldState = (
+            NotebookSummaries(stubs) if use_summaries else StubFold(stubs)
         )
-        self.summaries: Optional[NotebookSummaries] = (
-            NotebookSummaries(stubs=self.stubs) if use_summaries else None
-        )
+        #: With summaries and stubs both off the state never changes, so a
+        #: checkout has nothing to resync.
+        self._tracks_bindings = use_summaries or use_stubs
         #: Analysis states folded by checkout resyncs and the replay
         #: engine, by chain prefix: an undo or redo re-analyses only the
         #: cells since the deepest ancestor folded (DESIGN.md §14).
@@ -214,14 +218,7 @@ class KishuSession:
             retry=self.retry,
             observer=self.observer,
             plan_stats=PlanStats(registry=stats_registry),
-            analysis=chain_analysis(
-                self._resync_memo,
-                use_summaries=use_summaries,
-                use_stubs=use_stubs,
-                stub_registry=(
-                    self.stubs.registry if self.stubs is not None else None
-                ),
-            ),
+            analysis=chain_analysis(self._resync_memo, self.analysis.fork(0)),
         )
         self.refs = RefManager()
 
@@ -230,9 +227,23 @@ class KishuSession:
         self._attached = False
         #: Effects of the cell currently between pre- and post-run hooks.
         self._cell_effects: Optional[CellEffects] = None
-        #: Delta of a checkpoint whose store write failed, folded into the
-        #: next successful checkpoint so the history loses no state.
-        self._carryover: Optional[Tuple[StateDelta, str]] = None
+        #: The user bindings before that cell ran.
+        self._bindings: Dict[str, Any] = {}
+        #: Delta, source and outcome of a checkpoint whose store write
+        #: failed, folded into the next successful checkpoint so the
+        #: history loses no state.
+        self._carryover: Optional[Tuple[StateDelta, str, bool]] = None
+
+    @property
+    def summaries(self) -> Optional[NotebookSummaries]:
+        """The function-summary table, or None with summaries off."""
+        analysis = self.analysis
+        return analysis if isinstance(analysis, NotebookSummaries) else None
+
+    @property
+    def stubs(self) -> Optional[StubContext]:
+        """The stub type environment, or None with stubs off."""
+        return self.analysis.stubs
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -287,13 +298,9 @@ class KishuSession:
             record = AccessRecord()
             record.sets |= set(existing)
             self._commit(record, ATTACH_SOURCE, self.kernel.execution_count)
-            # A checkout resync folds this node's source like any cell's,
-            # so the live tables observe it too and stay equal to the
-            # fold of their chain.
-            if self.summaries is not None:
-                self.summaries.advance(ATTACH_SOURCE)
-            elif self.stubs is not None:
-                self.stubs.observe_cell(ATTACH_SOURCE)
+            # A fold of the chain steps over this node's source like any
+            # cell's, so the live state does too.
+            self.analysis.advance(ATTACH_SOURCE)
 
     def detach(self) -> None:
         if not self._attached:
@@ -309,15 +316,11 @@ class KishuSession:
     # -- hooks -------------------------------------------------------------------
 
     def _analyze_cell(self, source: str) -> CellEffects:
-        """Static analysis of one cell, through the summary view when
-        interprocedural summaries are enabled (DESIGN.md §14) and the
-        stub context when library effect stubs are enabled (§15)."""
-        view = (
-            self.summaries.view_for_cell(source)
-            if self.summaries is not None
-            else None
-        )
-        return analyze_cell(source, view, stubs=self.stubs)
+        """Static analysis of one cell against the analysis state: through
+        the summary view when interprocedural summaries are enabled
+        (DESIGN.md §14) and the stub context when library effect stubs
+        are enabled (§15)."""
+        return self.analysis.analyze(source)
 
     def _on_pre_run(self, info: ExecutionInfo) -> None:
         effects = info.analysis
@@ -326,6 +329,7 @@ class KishuSession:
             # so cross-validation still sees every cell.
             effects = self._analyze_cell(info.cell.source)
         self._cell_effects = effects
+        self._bindings = self.kernel.user_ns.user_items()
         if not self.kernel.user_ns.recording:
             self.kernel.user_ns.begin_recording()
 
@@ -339,39 +343,32 @@ class KishuSession:
         assert effects is not None
         self._cell_effects = None
         source, executed = result.cell.source, result.error is None
-        # Summary- and stub-informed record completion: a helper's
-        # ``STORE_GLOBAL``/``DELETE_GLOBAL`` and stub-declared mutations
-        # and hidden global writes bypass the patched dict, and with the
-        # escape deferred no escalation catches them. Folding them in
-        # keeps Lemma-1 candidate selection sound; the detector discards
-        # any that did not change. Each set is empty when its layer is off.
-        record.sets |= (
-            effects.summary_writes
-            | effects.summary_mutations
-            | effects.stub_mutations
-            | effects.stub_writes
-        )
-        record.deletes |= effects.summary_deletes
-        if self.summaries is not None:
-            invalidated_before = len(self.summaries.invalidations)
-            self.summaries.observe_cell(source, effects, executed=executed)
-            self.analysis_stats.summary_invalidations += (
-                len(self.summaries.invalidations) - invalidated_before
-            )
+        # Record completion, for Lemma-1 candidate selection: a
+        # ``STORE_GLOBAL``/``DELETE_GLOBAL`` bypasses the patched dict, even
+        # through calls no analysis resolves, so every name not bound to
+        # the object it was before the cell joins; declared mutations
+        # rebind nothing and join from the analysis. The detector
+        # discards any that did not change.
+        before, self._bindings = self._bindings, {}
+        after = self.kernel.user_ns.user_items()
+        record.sets |= {
+            name
+            for name, value in after.items()
+            if name not in before or before[name] is not value
+        }
+        record.sets |= effects.summary_mutations | effects.stub_mutations
+        record.deletes |= before.keys() - after.keys()
         stub_pure: Set[str] = set()
         if executed and effects.syntax_error is None:
             stub_pure = self._stub_pure_witnesses(source, effects)
-        if self.stubs is not None:
-            # The session owns the stub env lifecycle: exactly one
-            # observation per executed cell, after analysis used the
-            # pre-cell environment, with the summary table's opacity rule.
-            self.stubs.observe_cell(
-                source, executed=executed, opaque=is_opaque_cell(effects)
-            )
+        self.analysis_stats.summary_invalidations += self.analysis.observe(
+            source, effects, executed
+        )
         self._commit(
             record,
             source,
             result.execution_count,
+            executed=executed,
             cell_duration=result.duration,
             tags=result.cell.tags,
             effects=effects,
@@ -442,6 +439,7 @@ class KishuSession:
         source: str,
         execution_count: int,
         *,
+        executed: bool = True,
         cell_duration: float = 0.0,
         tags: AbstractSet[str] = frozenset(),
         effects: Optional[CellEffects] = None,
@@ -449,9 +447,10 @@ class KishuSession:
     ) -> CheckpointNode:
         """Write one cell execution as an incremental checkpoint.
 
-        ``effects`` is the cell's static analysis, cross-validated
-        against ``record``; ``stub_pure`` holds its stub-purity
-        witnesses (see :meth:`_stub_pure_witnesses`).
+        ``executed`` is False when the cell raised. ``effects`` is the
+        cell's static analysis, cross-validated against ``record``;
+        ``stub_pure`` holds its stub-purity witnesses (see
+        :meth:`_stub_pure_witnesses`).
         """
         obs = self.observer
         with obs.span("commit", execution_count=execution_count) as commit_span:
@@ -533,16 +532,18 @@ class KishuSession:
             if obs.enabled:
                 publish_walk_stats(obs.metrics, delta.walk)
 
+            carried = self._carryover is not None
             if self._carryover is not None:
                 # A previous checkpoint's store write failed after the pool
                 # was already advanced; fold its delta under this one so no
                 # state update is lost from the history.
-                carried_delta, carried_source = self._carryover
+                carried_delta, carried_source, carried_executed = self._carryover
                 self._carryover = None
                 delta = fold_deltas(carried_delta, delta)
                 source = (
                     f"{carried_source}\n{source}" if source else carried_source
                 )
+                executed = executed and carried_executed
                 obs.event(
                     EventType.DELTA_CARRYOVER,
                     action="folded",
@@ -557,9 +558,10 @@ class KishuSession:
                         tags, record, cell_duration
                     ),
                     escalated=escalate,
+                    executed=executed,
                 )
             except StorageError as exc:
-                self._carryover = (delta, source)
+                self._carryover = (delta, source, executed)
                 obs.event(
                     EventType.DELTA_CARRYOVER,
                     action="stashed",
@@ -568,6 +570,9 @@ class KishuSession:
                     error=type(exc).__name__,
                 )
                 raise
+            if carried:
+                # The live state stepped over two cells a fold sees as one.
+                self._refold(node.node_id)
             commit_span.update(
                 {"node": node.node_id, "updated": len(delta.updated)}
             )
@@ -607,6 +612,7 @@ class KishuSession:
         *,
         store_payloads: bool = True,
         escalated: bool = False,
+        executed: bool = True,
     ) -> CheckpointNode:
         parent_id = self.graph.head_id
         parent_state = self.graph.head.state
@@ -673,6 +679,7 @@ class KishuSession:
             cell_source=cell_source,
             deleted_keys=tuple(delta.deleted),
             dependencies=tuple(dependencies.items()),
+            executed=executed,
         )
 
         # Persist first, under the store's atomic commit protocol; the
@@ -699,6 +706,7 @@ class KishuSession:
             deleted=delta.deleted,
             dependencies=dependencies,
             parent_id=parent_id,
+            executed=executed,
         )
 
         if obs.enabled:
@@ -768,38 +776,33 @@ class KishuSession:
         return report
 
     def _resync_summaries(self, target_id: str) -> None:
-        """Rebuild the summary table and stub type environment for the
-        checked-out timeline.
+        """Move the analysis state to the checked-out timeline.
 
         Function bindings — and, for stubs, import/constructor bindings —
         are session state like any other: a checkout moves to the state
         *as of* the target node, so summaries and abstract types from the
         abandoned timeline (defs executed after the target, rebinds,
         invalidation events) must not leak into analyses of cells run
-        from here on. Rebuilding from the target's chain sources is
-        exactly the replay both tables would have observed live; the
-        prefix memo resumes it from the deepest ancestor an earlier fold
-        (a resync, or the replay engine's analysis) folded.
+        from here on. The fold of the target's chain, with each node's
+        outcome, is exactly the state the hooks stepped live; the prefix
+        memo resumes it from the deepest ancestor an earlier fold (a
+        resync, or the replay engine's analysis) folded.
         """
-        if self.summaries is None and self.stubs is None:
+        if not self._tracks_bindings:
             return
-        chain = self.loader.replay_engine.chain_to(target_id)
-        sources = [node.cell_source for node in chain]
-        memo = self._resync_memo
-        if self.summaries is not None:
-            # from_sources leaves the shared stub context's env at the
-            # same point as the table, keeping the two in lockstep.
-            self.summaries = NotebookSummaries.from_sources(
-                sources, stubs=self.stubs, memo=memo
-            )
-        else:
-            assert self.stubs is not None
-            registry = self.stubs.registry
-            state, _ = memo.fold(sources, StubFold(StubContext(registry)), registry)
-            assert state.stubs is not None
-            self.stubs.env = state.stubs.env
-        self.observer.count("checkout.resync.reused", memo.reused)
-        self.observer.count("checkout.resync.folded", memo.folded)
+        self._refold(target_id)
+        self.observer.count("checkout.resync.reused", self._resync_memo.reused)
+        self.observer.count("checkout.resync.folded", self._resync_memo.folded)
+
+    def _refold(self, node_id: str) -> None:
+        """Replace the analysis state with the fold of ``node_id``'s chain."""
+        chain = self.loader.replay_engine.chain_to(node_id)
+        self.analysis = type(self.analysis).from_sources(
+            [node.cell_source for node in chain],
+            [node.executed for node in chain],
+            stubs=self.analysis.stubs,
+            memo=self._resync_memo,
+        )
 
     def _discard_carryover_after_checkout(
         self, target_id: str, report: CheckoutReport
@@ -816,7 +819,7 @@ class KishuSession:
         """
         if self._carryover is None:
             return
-        carried_delta, _ = self._carryover
+        carried_delta = self._carryover[0]
         self._carryover = None
         target_names = self.graph.get(target_id).state.names()
         for key, covariable in carried_delta.created.items():

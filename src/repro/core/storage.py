@@ -92,8 +92,9 @@ DEFAULT_SESSION_ID = "default"
 #: Current durable schema version (``PRAGMA user_version``).
 #: v0 = pre-durability (no ``committed`` column); v1 = committed marker;
 #: v2 = per-session namespacing (``sessions`` table + ``session_id``);
-#: v3 = payload bytes in content-addressed blocks.
-SCHEMA_VERSION = 3
+#: v3 = payload bytes in content-addressed blocks; v4 = cell outcomes
+#: (``node_failures`` lists the nodes whose cell raised).
+SCHEMA_VERSION = 4
 
 #: Size of one payload block in the SQLite store. Fixed blocks keep an
 #: in-place edit or an append to one or two new blocks; an insertion
@@ -138,6 +139,8 @@ class StoredNode:
     cell_source: str
     deleted_keys: Tuple[CoVarKey, ...]
     dependencies: Tuple[Tuple[CoVarKey, str], ...]
+    #: False when the cell raised.
+    executed: bool = True
 
 
 @dataclass(frozen=True)
@@ -902,8 +905,10 @@ class SQLiteCheckpointStore(CheckpointStore):
 
     Pass ``":memory:"`` for an ephemeral database or a path for a durable
     one. The schema is normalized: ``sessions``, ``nodes``,
-    ``node_deletes``, ``node_deps``, ``payloads``, ``payload_blocks`` and
-    ``blocks``; every row but a block's carries a ``session_id``.
+    ``node_deletes``, ``node_deps``, ``node_failures``, ``payloads``,
+    ``payload_blocks`` and ``blocks``; every row but a block's carries a
+    ``session_id``. ``node_failures`` holds a row per node whose cell
+    raised; a node without one ran to the end.
 
     Payload bytes live in content-addressed blocks: ``payloads`` keeps a
     payload's size (NULL for a tombstone) and serializer,
@@ -953,6 +958,12 @@ class SQLiteCheckpointStore(CheckpointStore):
                 ref_node   TEXT NOT NULL,
                 PRIMARY KEY (session_id, node_id, covar_key)
             )""",
+        "node_failures": """
+            CREATE TABLE IF NOT EXISTS node_failures (
+                session_id TEXT NOT NULL,
+                node_id    TEXT NOT NULL,
+                PRIMARY KEY (session_id, node_id)
+            ) WITHOUT ROWID""",
         "payloads": """
             CREATE TABLE IF NOT EXISTS payloads (
                 session_id TEXT NOT NULL DEFAULT 'default',
@@ -1037,8 +1048,10 @@ class SQLiteCheckpointStore(CheckpointStore):
 
         v0 (pre-durability, no ``committed`` column) gains the marker with
         rows presumed committed; v1 (single-session) and v2 (whole payload
-        bytes in ``payloads.data``) are rebuilt by :meth:`_rebuild`. Fresh
-        databases are created at the current version directly.
+        bytes in ``payloads.data``) are rebuilt by :meth:`_rebuild`; v3
+        gains an empty ``node_failures`` table, so its nodes read as cells
+        that ran. Fresh databases are created at the current version
+        directly.
         """
         existing = {
             row[0]
@@ -1231,6 +1244,11 @@ class SQLiteCheckpointStore(CheckpointStore):
                     for key, ref in node.dependencies
                 ],
             )
+            if not node.executed:
+                self._conn.execute(
+                    "INSERT OR REPLACE INTO node_failures VALUES (?, ?)",
+                    (self.session_id, node.node_id),
+                )
 
     def write_payload(self, payload: StoredPayload) -> None:
         with self._write_scope():
@@ -1335,6 +1353,13 @@ class SQLiteCheckpointStore(CheckpointStore):
                 " ORDER BY timestamp, execution_count, rowid",
                 (self.session_id,),
             ).fetchall()
+            failed = {
+                row[0]
+                for row in self._conn.execute(
+                    "SELECT node_id FROM node_failures WHERE session_id = ?",
+                    (self.session_id,),
+                )
+            }
             for node_id, parent_id, timestamp, execution_count, cell_source in rows:
                 deleted = tuple(
                     decode_key(row[0])
@@ -1361,6 +1386,7 @@ class SQLiteCheckpointStore(CheckpointStore):
                         cell_source=cell_source,
                         deleted_keys=deleted,
                         dependencies=deps,
+                        executed=node_id not in failed,
                     )
                 )
             return nodes
@@ -1477,7 +1503,10 @@ class SQLiteCheckpointStore(CheckpointStore):
                 (session_id, node_id),
             ).fetchone()
             if still_there is None:
-                for table in ("node_deletes", "node_deps", "payloads", "payload_blocks"):
+                for table in (
+                    "node_deletes", "node_deps", "node_failures", "payloads",
+                    "payload_blocks",
+                ):
                     self._conn.execute(
                         f"DELETE FROM {table} WHERE session_id = ? AND node_id = ?",
                         (session_id, node_id),

@@ -31,7 +31,14 @@ constructs the analysis stack claims to handle (DESIGN.md §12):
   write globals from inside the body (hidden stores the summary layer
   defers to call sites), mutate parameters, or return argument aliases;
   calls cells later (including as ``sorted`` key callbacks); and
-  rebind-after-call, which invalidates the summary.
+  rebind-after-call, which invalidates the summary;
+* **hazard** — cells whose outcome or reach the analysis must not
+  guess: a cell that raises before a ``def`` that would make a live
+  global-storing helper pure, a cell that rebinds a live name and then
+  raises, and calls of a global-storing function through a list element
+  or a method, which no call-site analysis resolves. An opt-in family
+  (:data:`OPT_IN_CONSTRUCTS`): only the ``hazard-heavy`` profile weighs
+  it, so every other profile's programs are unchanged.
 
 Everything is derived from ``random.Random(seed)`` plus an immutable
 :class:`FuzzConfig`; no dict/set iteration order, wall clock, or
@@ -49,6 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "CONSTRUCTS",
+    "OPT_IN_CONSTRUCTS",
     "FuzzConfig",
     "FuzzProgram",
     "ProgramGenerator",
@@ -71,6 +79,11 @@ CONSTRUCTS = (
     "libsim",
     "helper",
 )
+
+#: Families outside the default grammar, weighed after :data:`CONSTRUCTS`
+#: and only when a profile gives them a weight: a program of a profile
+#: that leaves them at 0 is the one it was before they existed.
+OPT_IN_CONSTRUCTS = ("hazard",)
 
 
 @dataclass(frozen=True)
@@ -97,6 +110,7 @@ class FuzzConfig:
     w_escape: float = 3.0
     w_libsim: float = 3.0
     w_helper: float = 4.0
+    w_hazard: float = 0.0
 
     def __post_init__(self) -> None:
         if self.cells < 1:
@@ -112,8 +126,13 @@ class FuzzConfig:
             raise ValueError("at least one construct weight must be positive")
 
     def weights(self) -> List[Tuple[str, float]]:
-        """(construct, weight) pairs in the canonical CONSTRUCTS order."""
-        return [(name, getattr(self, f"w_{name}")) for name in CONSTRUCTS]
+        """(construct, weight) pairs in the canonical CONSTRUCTS order,
+        then every opt-in family with a weight."""
+        return [
+            (name, getattr(self, f"w_{name}"))
+            for name in CONSTRUCTS + OPT_IN_CONSTRUCTS
+            if name in CONSTRUCTS or getattr(self, f"w_{name}") != 0
+        ]
 
     def to_dict(self) -> Dict[str, float]:
         """JSON-safe canonical form (sorted field order)."""
@@ -136,6 +155,10 @@ PROFILES: Dict[str, Dict[str, float]] = {
                    "w_escape": 2.0, "w_generator": 1.0, "w_consume": 1.0,
                    "w_libsim": 1.0},
 }
+# func-heavy plus the hazard family: cells that raise, and stores the
+# analysis cannot see coming (the cell outcome and binding comparison of
+# DESIGN.md §14).
+PROFILES["hazard-heavy"] = {**PROFILES["func-heavy"], "w_hazard": 10.0}
 
 
 def profile(name: str, **overrides) -> FuzzConfig:
@@ -190,6 +213,9 @@ class _Namespace:
         #: Live helper functions: (name, behavior, written-global) where
         #: behavior is "global" | "mutate" | "alias".
         self.helpers: List[Tuple[str, str, str]] = []
+        #: Global-storing functions reachable only indirectly: (call
+        #: expression, written-global), e.g. ``("hz3[0]", "w2")``.
+        self.holders: List[Tuple[str, str]] = []
         self._counter = 0
 
     def fresh(self, prefix: str, rng: random.Random) -> str:
@@ -208,6 +234,13 @@ class _Namespace:
         for bucket in (self.data, self.generators, self.handles):
             if name in bucket:
                 bucket.remove(name)
+
+    def revive(self, name: str) -> None:
+        """A hidden store just created (or rebound) global ``name``."""
+        if name not in self.data:
+            self.data.append(name)
+            if name in self.dead:
+                self.dead.remove(name)
 
 
 class ProgramGenerator:
@@ -455,11 +488,7 @@ class ProgramGenerator:
         if behavior == "global":
             cell = f"{fresh} = [{func}({n}), {n}]"
             ns.data.append(fresh)
-            if written not in ns.data:
-                # The hidden store just created (or rebound) this global.
-                ns.data.append(written)
-                if written in ns.dead:
-                    ns.dead.remove(written)
+            ns.revive(written)
             return cell
         if behavior == "mutate":
             target = rng.choice(ns.data)
@@ -523,3 +552,45 @@ class ProgramGenerator:
             f"else:\n"
             f"    {fresh} = {target}"
         )
+
+    def _gen_hazard(self, rng: random.Random, ns: _Namespace, n: int) -> str:
+        roll = rng.random()
+        if ns.holders and roll < 0.35:
+            # An indirect call: no call site names the function, so no
+            # summary expands and nothing escalates.
+            call, written = ns.holders[rng.randrange(len(ns.holders))]
+            fresh = ns.fresh("v", rng)
+            ns.data.append(fresh)
+            ns.revive(written)
+            return f"{fresh} = [{call}({n}), {n}]"
+        stores = [func for func, behavior, _ in ns.helpers if behavior == "global"]
+        if stores and roll < 0.6:
+            # The def never runs: the live helper keeps its hidden store.
+            func = rng.choice(stores)
+            return f"{n} // 0\ndef {func}(n):\n    return n % 7"
+        helpers = [func for func, _, _ in ns.helpers]
+        targets = ns.handles + helpers + ns.data
+        if targets and roll < 0.8:
+            # The rebind runs, then the cell raises.
+            target = rng.choice(targets)
+            if target in helpers:
+                ns.helpers.pop(helpers.index(target))
+            ns.forget(target)
+            ns.data.append(target)
+            return f"{target} = [{n}]\n{n} // 0"
+        # A global-storing function behind a list element or a method.
+        # (A notebook class would do for the method, but checkout replays
+        # an unpicklable class into a scratch namespace its methods then
+        # keep as their globals.)
+        written = ns.fresh("w", rng)
+        define = (
+            f"def _hz{n}(n):\n"
+            f"    global {written}\n"
+            f"    {written} = [n, n + 1]\n"
+            f"    return n % 7\n"
+        )
+        if rng.random() < 0.5:
+            ns.holders.append((f"hz{n}[0]", written))
+            return f"{define}hz{n} = [_hz{n}]"
+        ns.holders.append((f"hz{n}.bump", written))
+        return f"import types\n{define}hz{n} = types.SimpleNamespace(bump=_hz{n})"

@@ -51,16 +51,16 @@ class TestOpaqueCells:
         # ``df`` is a list now: no stub may claim the call is pure.
         effects = session._analyze_cell("df.drop_column('c0')")
         assert effects.stub_pure_receivers == set()
-        assert session.stubs.env.current() == {}
+        assert session.stubs.current() == {}
 
     def test_summaries_off_undo_redo_keeps_the_stub_environment(self):
         kernel = NotebookKernel()
         session = KishuSession.init(kernel, use_summaries=False)
         run(session, ["import numpy as np", "exec('y = 1')", "z = 2"])
-        live = session.stubs.env.current()
+        live = session.stubs.current()
         session.checkout("t1")
         session.checkout("t3")
-        assert session.stubs.env.current() == live
+        assert session.stubs.current() == live
 
 
 class TestReplayFoldsOnce:

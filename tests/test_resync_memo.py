@@ -50,33 +50,43 @@ def table_state(table: NotebookSummaries) -> Tuple[Any, ...]:
     )
 
 
+def chain_outcomes(session: KishuSession, node_id: str) -> List[bool]:
+    return [
+        session.graph.get(ancestor).executed
+        for ancestor in reversed(session.graph.path_to_root(node_id))
+        if ancestor != ROOT_ID
+    ]
+
+
 def env_state(stubs: StubContext) -> Tuple[Any, ...]:
-    env = stubs.env
     return (
-        list(env.current().items()),
-        [list(snapshot.items()) for snapshot in env._snapshots],
+        list(stubs.current().items()),
+        [list(snapshot.items()) for snapshot in stubs._snapshots],
         stubs.fingerprint(),
     )
 
 
 def assert_matches_fresh_fold(session: KishuSession) -> None:
     """The session's analysis state equals a cell-by-cell fold of the
-    head's chain that starts from nothing."""
+    head's chain, with each node's outcome, that starts from nothing."""
     sources = chain_sources(session, session.head_id)
+    outcomes = chain_outcomes(session, session.head_id)
     registry = session.stubs.registry if session.stubs is not None else None
     if session.summaries is not None:
         stubs = StubContext(registry) if registry is not None else None
         fresh = NotebookSummaries(stubs)
-        for source in sources:
-            fresh.advance(source)
+        for source, executed in zip(sources, outcomes):
+            fresh.advance(source, executed)
         assert table_state(session.summaries) == table_state(fresh)
     else:
         # Each cell as the live hooks drive it: analysed against the
         # environment before it, then observed with its effects.
         stubs = StubContext(registry)
-        for source in sources:
+        for source, executed in zip(sources, outcomes):
             effects = analyze_cell(source, stubs=stubs)
-            stubs.observe_cell(source, opaque=is_opaque_cell(effects))
+            stubs.observe_cell(
+                source, executed=executed, opaque=is_opaque_cell(effects)
+            )
     if session.stubs is not None:
         assert stubs is not None
         assert env_state(session.stubs) == env_state(stubs)
@@ -110,7 +120,7 @@ class TestFuzzPrograms:
     """Seeded checkout sequences over generated programs, with branches
     grown from checked-out nodes."""
 
-    @pytest.mark.parametrize("name", ["func-heavy", "libsim-heavy"])
+    @pytest.mark.parametrize("name", ["func-heavy", "libsim-heavy", "hazard-heavy"])
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_every_checkout_equals_a_fresh_fold(self, name, seed):
         program = ProgramGenerator(profile(name, cells=20, branch_cells=5)).generate(seed)
@@ -221,7 +231,7 @@ class TestFromSources:
             plain_stubs = StubContext()
             plain = NotebookSummaries.from_sources(sources[:cut], stubs=plain_stubs)
             assert table_state(table) == table_state(plain)
-            assert env_state(stubs) == env_state(plain_stubs)
+            assert env_state(table.stubs) == env_state(plain.stubs)
 
     def test_registry_change_empties_the_memo(self):
         registry = StubRegistry()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -535,6 +536,47 @@ class TestSchemaMigration:
                 assert_blocks_consistent(store)
                 version = store._conn.execute("PRAGMA user_version").fetchone()[0]
                 assert version == SCHEMA_VERSION
+
+
+    def _make_v3_store(self, path):
+        """A v3 database: v4's schema without the ``node_failures``
+        table, so no record of which cells raised."""
+        import sqlite3
+
+        with SQLiteCheckpointStore(path) as store:
+            store.write_node(make_node("t1"))
+            store.write_node(make_node("t2", parent="t1"))
+        conn = sqlite3.connect(path)
+        conn.executescript("DROP TABLE node_failures; PRAGMA user_version = 3;")
+        conn.close()
+
+    def test_v3_nodes_read_as_cells_that_ran(self, tmp_path):
+        path = str(tmp_path / "v3.db")
+        self._make_v3_store(path)
+        for _ in range(3):
+            with SQLiteCheckpointStore(path) as store:
+                assert [(n.node_id, n.executed) for n in store.read_nodes()] == [
+                    ("t1", True),
+                    ("t2", True),
+                ]
+                version = store._conn.execute("PRAGMA user_version").fetchone()[0]
+                assert version == SCHEMA_VERSION == 4
+
+    def test_cell_outcome_round_trips(self, tmp_path):
+        path = str(tmp_path / "outcome.db")
+        with SQLiteCheckpointStore(path) as store:
+            store.write_node(make_node("t1"))
+            store.write_node(replace(make_node("t2", parent="t1"), executed=False))
+            store.begin_checkpoint("t3")
+            store.write_node(replace(make_node("t3", parent="t2"), executed=False))
+        # t3 never committed: its outcome goes with it.
+        with SQLiteCheckpointStore(path) as store:
+            assert [(n.node_id, n.executed) for n in store.read_nodes()] == [
+                ("t1", True),
+                ("t2", False),
+            ]
+            (rows,) = store._conn.execute("SELECT COUNT(*) FROM node_failures").fetchone()
+            assert rows == 1
 
 
 # ---------------------------------------------------------------------------

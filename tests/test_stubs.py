@@ -27,7 +27,6 @@ from repro.analysis.stubs import (
 from repro.analysis.typetrack import (
     INSTANCE,
     MODULE,
-    NotebookTypeEnv,
     StubContext,
     stub_call_mutates,
     stub_is_pure_at,
@@ -169,7 +168,7 @@ class TestStubFormat:
 
 class TestTypeTracking:
     def _env(self):
-        return NotebookTypeEnv(_registry(PANDAS_LIKE))
+        return StubContext(_registry(PANDAS_LIKE))
 
     def _resolve(self, env, source):
         module = ast.parse(source)
@@ -234,7 +233,7 @@ class TestTypeTracking:
 
     def test_unknown_library_call_names_stub_file(self):
         registry = default_registry()
-        env = NotebookTypeEnv(registry)
+        env = StubContext(registry)
         env.observe_cell(
             "from repro.libsim.data_analysis import SimDataFrame"
         )

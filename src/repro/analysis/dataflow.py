@@ -61,6 +61,7 @@ from typing import (
 
 from repro.analysis.effects import CellEffects, Span
 from repro.analysis.visitor import analyze_cell, parse_cell
+from repro.parsing import parse
 
 if TYPE_CHECKING:  # pragma: no cover - cycle broken by lazy import
     from repro.analysis.stubs import StubRegistry
@@ -471,7 +472,7 @@ def split_script_cells(source: str) -> List[str]:
                 cells[-1].append(line)
         return ["\n".join(cell) for cell in cells if "\n".join(cell).strip()]
     try:
-        module = ast.parse(source)
+        module = parse(source)
     except SyntaxError:
         return [source]
     if not module.body:
@@ -805,7 +806,7 @@ def ast_cost(cell: CellNode) -> float:
     if cell.effects.syntax_error is not None:
         return 0.0
     try:
-        module = ast.parse(cell.source)
+        module = parse(cell.source)
     except SyntaxError:  # pragma: no cover - guarded above
         return 0.0
     return float(sum(1 for _ in ast.walk(module)))

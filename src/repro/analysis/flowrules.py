@@ -59,6 +59,7 @@ from repro.analysis.effects import EscapeKind, Span
 from repro.analysis.rules import Finding, LintRule, Severity
 from repro.analysis.summaries import FunctionSummary, NotebookSummaries
 from repro.analysis.typetrack import StubContext, stub_call_mutates
+from repro.parsing import parse
 
 __all__ = [
     "DeadWriteRule",
@@ -100,7 +101,7 @@ class NotebookContext:
 def _first_load_span(source: str, name: str) -> Span:
     """The span of the first Load of ``name`` in the cell, if locatable."""
     try:
-        module = ast.parse(source)
+        module = parse(source)
     except SyntaxError:
         return Span(1, 0, 1, 0)
     for node in ast.walk(module):
@@ -115,7 +116,7 @@ def _first_load_span(source: str, name: str) -> Span:
 
 def _first_store_span(source: str, name: str) -> Span:
     try:
-        module = ast.parse(source)
+        module = parse(source)
     except SyntaxError:
         return Span(1, 0, 1, 0)
     for node in ast.walk(module):
@@ -314,7 +315,7 @@ def _toplevel_named_calls(source: str) -> List[ast.Call]:
     """Calls ``f(...)`` with a plain-name callee, outside any function or
     lambda body (calls inside bodies belong to the callee's summary)."""
     try:
-        module = ast.parse(source)
+        module = parse(source)
     except SyntaxError:
         return []
     calls: List[ast.Call] = []
@@ -489,7 +490,7 @@ def _toplevel_calls(source: str) -> List[ast.Call]:
     attribute callees included (the KSH50x rules care about
     ``df.sort_values(...)`` as much as ``loads(...)``)."""
     try:
-        module = ast.parse(source)
+        module = parse(source)
     except SyntaxError:
         return []
     calls: List[ast.Call] = []
@@ -514,7 +515,7 @@ def _toplevel_calls(source: str) -> List[ast.Call]:
 
 def _parse_or_none(source: str) -> Optional[ast.Module]:
     try:
-        return ast.parse(source)
+        return parse(source)
     except SyntaxError:
         return None
 

@@ -34,6 +34,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.effects import CellEffects, EscapeKind, Span
 from repro.analysis.visitor import analyze_cell
+from repro.parsing import parse
 
 #: Built-in callables that cannot mutate their arguments' object graphs.
 PURE_BUILTINS: FrozenSet[str] = frozenset(
@@ -135,7 +136,7 @@ class ReadOnlyCellAnalyzer:
     def is_read_only(self, source: str) -> bool:
         """True only if every statement is a provably pure expression."""
         try:
-            module = ast.parse(source)
+            module = parse(source)
         except SyntaxError:
             return False
         if not module.body:
@@ -471,7 +472,7 @@ class LintEngine:
         """Lint one cell, honouring suppression comments."""
         effects = analyze_cell(source)
         try:
-            tree: Optional[ast.Module] = ast.parse(source)
+            tree: Optional[ast.Module] = parse(source)
         except SyntaxError:
             tree = None
         context = LintContext(

@@ -99,6 +99,7 @@ from repro.analysis.visitor import (
     function_params,
     is_summarizable_def,
 )
+from repro.parsing import parse
 
 if TYPE_CHECKING:  # pragma: no cover - dataflow imports this module lazily
     from repro.analysis.dataflow import CellNode
@@ -1220,7 +1221,7 @@ class NotebookSummaries(StubFold):
                 for name, raw in cached.items()
             }
         try:
-            module = ast.parse(source)
+            module = parse(source)
         except SyntaxError:
             return {}
         resolver = (
@@ -1273,7 +1274,7 @@ class NotebookSummaries(StubFold):
         no new summaries, since the defs may never have run.
         """
         try:
-            module: Optional[ast.Module] = ast.parse(source)
+            module: Optional[ast.Module] = parse(source)
         except SyntaxError:
             module = None
         if module is None:

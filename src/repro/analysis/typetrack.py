@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.analysis.stubs import CallStub, StubRegistry, default_registry
+from repro.parsing import parse
 
 MODULE = "module"
 INSTANCE = "instance"
@@ -552,7 +553,7 @@ class StubContext:
         """
         self._snapshots.append(dict(self._env))
         try:
-            module = ast.parse(source)
+            module = parse(source)
         except SyntaxError:
             return  # the cell cannot have executed either
         resolver = CellResolver(self.registry, self._env, module)

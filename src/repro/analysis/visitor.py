@@ -34,6 +34,7 @@ from repro.analysis.typetrack import (
     StubContext,
     stub_call_mutates,
 )
+from repro.parsing import parse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.analysis.summaries import FunctionSummary, SummaryView
@@ -974,7 +975,7 @@ class EffectVisitor(ast.NodeVisitor):
 def parse_cell(source: str) -> Optional[ast.Module]:
     """Parse cell source, returning ``None`` on syntax errors."""
     try:
-        return ast.parse(source)
+        return parse(source)
     except SyntaxError:
         return None
 
@@ -1003,7 +1004,7 @@ def analyze_cell(
     (such a cell cannot execute either).
     """
     try:
-        module = ast.parse(source)
+        module = parse(source)
     except SyntaxError as exc:
         return CellEffects(syntax_error=str(exc))
     resolver = stubs.resolver(module) if stubs is not None else None

@@ -61,6 +61,7 @@ from repro.core.session import KishuSession
 from repro.core.storage import CheckpointStore, SQLiteCheckpointStore, read_store_usage
 from repro.errors import KishuError, StoreBusyError
 from repro.kernel.kernel import NotebookKernel
+from repro.parsing import parse
 
 PROMPT_TEMPLATE = "In [{count}]: "
 
@@ -606,7 +607,7 @@ def _read_script(path: str, err: TextIO, prog: str) -> Optional[str]:
         err.write(f"{prog}: note: skipping {path}: {exc}\n")
         return None
     try:
-        ast.parse(source)
+        parse(source)
     except SyntaxError as exc:
         err.write(
             f"{prog}: note: skipping {path}: syntax error on line "
@@ -698,7 +699,7 @@ def _stub_check_report(source: str, registry) -> dict:
     seen_modules: set = set()
     for index, cell_source in enumerate(cells):
         try:
-            module = ast.parse(cell_source)
+            module = parse(cell_source)
         except SyntaxError:
             context.observe_cell(cell_source)
             continue
@@ -1391,6 +1392,7 @@ def fuzz_main(
                 original_cells=len(program.cells),
                 config=program.config,
                 origin=f"repro fuzz --profile {args.profile}",
+                profile=args.profile,
             )
             emitted.append(path)
             out.write(

@@ -17,7 +17,6 @@ Mirrors the paper's command palette: ``init`` (attach), ``log``,
 
 from __future__ import annotations
 
-import ast
 import time
 from dataclasses import dataclass, field
 from typing import AbstractSet, Any, Dict, List, Optional, Set, Tuple, Union
@@ -50,6 +49,7 @@ from repro.core.storage import (
 from repro.core.vargraph import VarGraphBuilder
 from repro.errors import KishuError, SerializationError, StorageError
 from repro.obs import BYTE_BUCKETS, EventType, NO_OBSERVER, Observer
+from repro.parsing import parse
 from repro.telemetry import (
     AnalysisStats,
     PlanStats,
@@ -389,7 +389,7 @@ class KishuSession:
         if not pure:
             return pure
         try:
-            module = ast.parse(source)
+            module = parse(source)
         except SyntaxError:
             return set()
         assert self.stubs is not None

@@ -52,6 +52,16 @@ uncommitted leftovers (see :meth:`CheckpointStore.recover`).
 with retry, tombstone degradation and rollback. The synchronous session
 and the service's queue writer both call it.
 
+Journal
+-------
+A file-backed SQLite store journals through a write-ahead log while it
+is open (``journal_mode=WAL`` at ``synchronous=FULL``): a checkpoint's
+COMMIT appends to ``<path>-wal`` and fsyncs it once. A crash leaves the
+``-wal``/``-shm`` sidecars, and the next open reads the committed frames
+back. Closing the owning handle switches the file back to the rollback
+journal, which copies the log into the database file and removes the
+sidecars, so a closed store is one file (DESIGN.md §6).
+
 Threading
 ---------
 The SQLite connection is opened with ``check_same_thread=False`` so the
@@ -875,6 +885,28 @@ def _release_store_lock(token: Optional[str]) -> None:
                 os.close(entry[0])
 
 
+def _leave_wal(conn: sqlite3.Connection) -> None:
+    """Switch a closing store back to the rollback journal, which
+    copies the log into the database file and removes ``-wal`` and
+    ``-shm``. Never waits: while another in-process handle or a reader
+    has the file open SQLite refuses at once, the store stays in WAL, and
+    the last close (or the next open's close) finishes the job. A
+    ``:memory:`` database keeps its journal: the switch is a no-op."""
+    try:
+        conn.execute("PRAGMA busy_timeout = 0")
+        conn.execute("PRAGMA journal_mode = DELETE")
+    except sqlite3.Error:
+        pass
+
+
+def _fsync_file(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class _SQLiteBackend:
     """Shared connection state behind every session handle of one database.
 
@@ -1033,8 +1065,10 @@ class SQLiteCheckpointStore(CheckpointStore):
             self.register_session(session_id, notebook_path)
             self.last_recovery = self.recover()
         except BaseException:
-            # Never leak the OS-level handle when open fails — a corrupt
-            # or wrong-schema file reaches here via `_open_store_strict`.
+            # Never leak the OS-level handle when open fails (a corrupt
+            # or wrong-schema file reaches here via `_open_store_strict`),
+            # and leave a file `_migrate` switched to WAL as one file.
+            _leave_wal(backend.conn)
             backend.conn.close()
             _release_store_lock(self._lock_token)
             raise
@@ -1052,7 +1086,17 @@ class SQLiteCheckpointStore(CheckpointStore):
         gains an empty ``node_failures`` table, so its nodes read as cells
         that ran. Fresh databases are created at the current version
         directly.
+
+        A file-backed store first switches to the write-ahead log (a
+        rollback-journal file converts here; the journal mode is not part
+        of the schema). If SQLite answers with another mode, the store
+        works in that one. ``synchronous`` is pinned to FULL, SQLite's
+        default, so a build whose WAL default is NORMAL still fsyncs the
+        log at every COMMIT.
         """
+        if self.path != ":memory:":
+            conn.execute("PRAGMA journal_mode = WAL")
+            conn.execute("PRAGMA synchronous = FULL")
         existing = {
             row[0]
             for row in conn.execute(
@@ -1426,17 +1470,19 @@ class SQLiteCheckpointStore(CheckpointStore):
     # -- durability ------------------------------------------------------------
 
     def sync(self) -> None:
-        """Fsync the database file — the commit queue's batch-level
-        durability barrier. SQLite already fsyncs at COMMIT under its
-        default ``synchronous`` level; this is the explicit barrier for
-        relaxed-durability configurations."""
+        """Fsync the store's files — the commit queue's batch-level
+        durability barrier. Under WAL a committed transaction sits in
+        ``-wal`` until SQLite copies it into the database file, so the
+        log is synced first when it exists, then the database file. At
+        ``synchronous=FULL`` every COMMIT has already fsynced the log;
+        this barrier is what the queue's fsync policies add on top."""
         if self.path == ":memory:":
             return
-        fd = os.open(self.path, os.O_RDONLY)
         try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+            _fsync_file(self.path + "-wal")
+        except FileNotFoundError:
+            pass  # rollback journal, or the log was copied over and removed
+        _fsync_file(self.path)
 
     # -- recovery --------------------------------------------------------------
 
@@ -1534,6 +1580,7 @@ class SQLiteCheckpointStore(CheckpointStore):
                 self._emit_rollback_on_close(open_node, rolled_session)
             if self._owns_backend:
                 backend.closed = True
+                _leave_wal(backend.conn)
                 backend.conn.close()
                 _release_store_lock(self._lock_token)
                 self._lock_token = None

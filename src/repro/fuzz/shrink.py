@@ -93,7 +93,7 @@ Origin: {origin}
 Shrunk: {original} cell(s) -> {shrunk}
 
 Regenerate the original program with:
-    repro fuzz --seed {seed} --cells {original}
+    repro fuzz --profile {profile} --seed {seed} --cells {original}
 """
 
 from repro.fuzz.oracle import run_cells_oracle
@@ -117,11 +117,14 @@ def emit_regression_test(
     original_cells: Optional[int] = None,
     config: Optional[FuzzConfig] = None,
     origin: str = "repro fuzz",
+    profile: str = "default",
 ) -> str:
     """Write a ready-to-commit pytest file pinning ``cells`` as a repro.
 
     The emitted test asserts the oracle *passes* — committed once the
     underlying bug is fixed, it keeps the divergence from regressing.
+    Its docstring names the command that regenerates the original
+    program, under ``profile``, the grammar profile it came from.
     Returns the path written.
     """
     rendered = "\n".join(f"    {cell!r}," for cell in cells)
@@ -130,6 +133,7 @@ def emit_regression_test(
     if config is not None:
         origin_line = f"{origin} (config: {config.to_dict()})"
     content = _TEMPLATE.format(
+        profile=profile,
         seed=seed,
         origin=origin_line,
         original=original_cells if original_cells is not None else len(cells),

@@ -32,6 +32,7 @@ from repro.kernel.events import (
 )
 from repro.kernel.namespace import PatchedNamespace
 from repro.obs import NO_OBSERVER, Observer
+from repro.parsing import parse
 
 
 class NotebookKernel:
@@ -113,7 +114,7 @@ class NotebookKernel:
     def _execute_body(self, cell: Cell) -> CellResult:
         result = CellResult(cell=cell, execution_count=self.execution_count)
         try:
-            module = ast.parse(cell.source)
+            module = parse(cell.source)
         except SyntaxError as exc:
             result.error = exc
             return result

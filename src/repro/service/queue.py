@@ -33,9 +33,10 @@ Ordering and durability contract (DESIGN.md §13):
   reopening the store recovers exactly as after a process crash.
 * **Adaptive backpressure (DESIGN.md §16).** Beyond the fixed
   ``max_depth`` cap, the queue exposes a three-level pressure ladder —
-  ``accept`` → ``degrade_fsync`` (per-commit fsync relaxes to
-  per-batch, trading durability granularity for drain throughput) →
-  ``block`` (the effective cap drops to a configured ceiling so
+  ``accept`` → ``degrade_fsync`` (the writer's per-commit
+  ``store.sync()`` relaxes to per-batch, trading those extra fsyncs for
+  drain throughput; every COMMIT to a file-backed store still fsyncs
+  its log) → ``block`` (the effective cap drops to a configured ceiling so
   enqueue blocks until the writer catches up). The health engine's
   :class:`~repro.obs.health.BackpressureController` walks the ladder
   from sustained SLO burn; each transition emits a

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Set
 from repro.kernel.cells import Cell, CellResult
 from repro.kernel.kernel import NotebookKernel
 from repro.kernel.namespace import AccessRecord
+from repro.parsing import parse
 from repro.tracking.base import Tracker, TrackingCost
 
 _dispatch_overhead_cache: List[float] = []
@@ -130,7 +131,7 @@ class IPyFlowTracker(Tracker):
         self._resolved_symbols = set()
         try:
             collector = _SymbolCollector()
-            collector.visit(ast.parse(cell.source))
+            collector.visit(parse(cell.source))
             self._symbols_by_line = collector.symbols_by_line
         except SyntaxError:
             pass

@@ -104,3 +104,44 @@ class TestEmitRegressionTest:
         namespace = {}
         exec(compile(path.read_text(), str(path), "exec"), namespace)
         assert namespace["CELLS"] == tricky
+
+
+class TestRegenerateLine:
+    def test_regenerate_line_names_the_profile(self, tmp_path):
+        """The emitted docstring's command regenerates the program the
+        pinned cells came from, under the profile that generated it."""
+        import re
+
+        from repro.fuzz import ProgramGenerator, profile
+
+        program = ProgramGenerator(profile("escape-heavy", cells=15)).generate(11)
+        pinned = list(program.cells[1::4])
+        path = tmp_path / "test_fuzz_seed_11.py"
+        emit_regression_test(
+            pinned,
+            seed=program.seed,
+            path=str(path),
+            original_cells=len(program.cells),
+            config=program.config,
+            origin="repro fuzz --profile escape-heavy",
+            profile="escape-heavy",
+        )
+        content = path.read_text()
+        match = re.search(
+            r"^    repro fuzz --profile (\S+) --seed (\d+) --cells (\d+)$",
+            content,
+            re.MULTILINE,
+        )
+        assert match is not None, content
+        name, seed, cells = match.group(1), int(match.group(2)), int(match.group(3))
+        assert name == "escape-heavy"
+        regenerated = iter(ProgramGenerator(profile(name, cells=cells)).generate(seed).cells)
+        namespace: dict = {}
+        exec(compile(content, str(path), "exec"), namespace)
+        assert namespace["CELLS"] == pinned
+        assert all(cell in regenerated for cell in namespace["CELLS"])  # a subsequence
+
+    def test_default_profile_when_none_is_given(self, tmp_path):
+        path = tmp_path / "test_fuzz_seed_3.py"
+        emit_regression_test(["a = 1"], seed=3, path=str(path), original_cells=9)
+        assert "repro fuzz --profile default --seed 3 --cells 9" in path.read_text()

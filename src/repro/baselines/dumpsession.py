@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.baselines.base import CheckoutCost, CheckpointCost, CheckpointMethod, timed
-from repro.core.serialization import SerializerChain, active_globals
+from repro.core.serialization import SerializerChain
 from repro.errors import DeserializationError, SerializationError
 from repro.kernel.cells import CellResult
 from repro.kernel.kernel import NotebookKernel
@@ -68,8 +68,7 @@ class DumpSessionMethod(CheckpointMethod):
         with timed() as clock:
             self._charge_read(len(blob))
             try:
-                with active_globals(fresh_kernel.user_ns):
-                    restored = self.serializer.deserialize(blob, pickler_name)
+                restored = self.serializer.deserialize(blob, pickler_name, fresh_kernel.user_ns)
             except DeserializationError as exc:
                 return CheckoutCost(
                     seconds=clock.seconds,

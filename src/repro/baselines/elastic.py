@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.baselines.base import CheckoutCost, CheckpointCost, CheckpointMethod, timed
-from repro.core.serialization import SerializerChain, active_globals
+from repro.core.serialization import SerializerChain
 from repro.errors import DeserializationError, SerializationError
 from repro.kernel.cells import CellResult
 from repro.kernel.kernel import NotebookKernel
@@ -177,10 +177,9 @@ class ElasticNotebookMethod(CheckpointMethod):
             if replication.stored_blob is not None:
                 self._charge_read(len(replication.stored_blob))
                 try:
-                    with active_globals(fresh_kernel.user_ns):
-                        restored = self.serializer.deserialize(
-                            replication.stored_blob, replication.pickler_name
-                        )
+                    restored = self.serializer.deserialize(
+                        replication.stored_blob, replication.pickler_name, fresh_kernel.user_ns
+                    )
                 except DeserializationError:
                     # Fault tolerance: a payload that will not load is
                     # reconstructed by replaying the recorded cells.

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.baselines.base import CheckoutCost, CheckpointCost, CheckpointMethod, timed
-from repro.core.serialization import SerializerChain, active_globals
+from repro.core.serialization import SerializerChain
 from repro.errors import DeserializationError, SerializationError
 from repro.kernel.cells import CellResult
 from repro.kernel.kernel import NotebookKernel
@@ -71,10 +71,9 @@ class KVStoreMethod(CheckpointMethod):
                 blob, pickler = entry
                 self._charge_read(len(blob))
                 try:
-                    with active_globals(fresh_kernel.user_ns):
-                        # Each variable unpickled independently: references
-                        # shared between variables are NOT preserved.
-                        payload = self.serializer.deserialize(blob, pickler)
+                    # Each variable unpickled independently: references
+                    # shared between variables are NOT preserved.
+                    payload = self.serializer.deserialize(blob, pickler, fresh_kernel.user_ns)
                 except DeserializationError:
                     continue
                 fresh_kernel.user_ns.plant(name, payload[name])

@@ -1393,6 +1393,7 @@ def fuzz_main(
                 config=program.config,
                 origin=f"repro fuzz --profile {args.profile}",
                 profile=args.profile,
+                branch_cells=program.branch_cells,
             )
             emitted.append(path)
             out.write(

@@ -19,10 +19,14 @@ replaying checkout analyses each chain cell once — asks the
 :class:`~repro.analysis.dataflow.ReplayPlanner` for the minimal ordered
 cell subset reconstructing the co-variable — consulting stored payloads
 and the checkout's materialization cache as shortcut versions — and
-executes the plan in a scratch :class:`~repro.kernel.namespace.PatchedNamespace`,
-cross-validating every replayed cell's runtime access record against its
-static effects exactly the way the session's
+executes the plan, cross-validating every replayed cell's runtime access
+record against its static effects exactly the way the session's
 :class:`~repro.analysis.crossval.CrossValidator` validates live cells.
+
+The engine and the legacy recursion share one executor: cell code runs
+(:func:`exec_node`) in a :func:`replay_scope` of the namespace the checkout
+installs into, so every function a replay loads or re-creates keeps as its
+globals the dict the session runs in afterwards.
 
 The engine is deliberately fail-safe: any plan that is incomplete,
 replay-unsafe (routes through an opaque cell), needs inputs the chain
@@ -34,8 +38,9 @@ analysis being right, only the saved work does (DESIGN.md §10).
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.dataflow import (
     CellNode,
@@ -57,6 +62,31 @@ from repro.telemetry import PlanStats
 #: Loads the value dict of versioned co-variable (key, node_id) from
 #: storage, or None when the payload is absent/unloadable.
 ValueLoader = Callable[[CoVarKey, str], Optional[Dict[str, Any]]]
+
+
+@contextmanager
+def replay_scope(namespace: PatchedNamespace) -> Iterator[None]:
+    """Lend ``namespace`` to one replay, emptied of its user bindings.
+
+    The replay sees only what it plants and runs; the kernel's
+    ``__name__`` and ``__builtins__`` stay, so a replayed def or class
+    gets ``__module__ == "__main__"``. On exit, returned or raised, the
+    namespace is again exactly the dict it was on entry: every saved
+    binding is back and nothing the replay bound stays. Scopes never
+    nest: a caller materializes a replay's inputs before entering.
+    """
+    saved = dict(namespace)
+    namespace.replace_user_state({})
+    try:
+        yield
+    finally:
+        dict.clear(namespace)
+        dict.update(namespace, saved)
+
+
+def exec_node(node: CheckpointNode, namespace: Dict[str, Any]) -> None:
+    """Run ``node``'s recorded cell code in ``namespace``."""
+    exec(compile(node.cell_source, f"<replay:{node.node_id}>", "exec"), namespace)
 
 
 class DeclineReason(enum.Enum):
@@ -246,13 +276,14 @@ class ReplayEngine:
         key: CoVarKey,
         node_id: str,
         *,
+        namespace: PatchedNamespace,
         cache: Dict[Tuple[CoVarKey, str], Dict[str, Any]],
         load_values: ValueLoader,
         report: Optional[Any] = None,
     ) -> Optional[Dict[str, Any]]:
         """Reconstruct versioned co-variable (key, node_id) by planned
-        replay, or return None to decline (caller falls back to the
-        legacy recursion).
+        replay in ``namespace`` (see :func:`replay_scope`), or return
+        None to decline (caller falls back to the legacy recursion).
 
         Declines when the plan is incomplete, needs external inputs the
         chain cannot produce, is replay-unsafe, or fails mid-execution.
@@ -310,7 +341,7 @@ class ReplayEngine:
             "replay.execute", node=node_id, covariable=sorted(key)
         ) as span:
             values, failure = self._execute(
-                plan, chain, cache=cache, load_values=load_values, report=report
+                plan, chain, namespace, cache=cache, load_values=load_values, report=report
             )
             span.set("ok", values is not None)
         if values is None:
@@ -366,68 +397,56 @@ class ReplayEngine:
         self,
         plan: ReplayPlan,
         chain: List[CheckpointNode],
+        namespace: PatchedNamespace,
         *,
         cache: Dict[Tuple[CoVarKey, str], Dict[str, Any]],
         load_values: ValueLoader,
         report: Optional[Any],
     ) -> Tuple[Optional[Dict[str, Any]], str]:
-        """Run the plan in a scratch patched namespace.
+        """Run the plan in a :func:`replay_scope` of ``namespace``.
 
         Returns ``(user variables, "")`` on success, or ``(None,
         detail)`` on any failure (a failed load, a raising cell, an
         incomplete result) — the detail feeds the decline record.
         """
         cells = self._cell_nodes(chain)
-        # ``__name__`` as in the kernel: a replayed def or class gets the
-        # ``__module__`` the cell gave it.
-        scratch = PatchedNamespace(
-            {"__builtins__": __builtins__, "__name__": "__main__"}
-        )
-        for step in plan.steps:
-            if step.kind == "load":
-                covar = frozenset(step.names)
-                assert step.ref is not None
-                values = cache.get((covar, step.ref))
-                if values is None:
-                    values = load_values(covar, step.ref)
-                    if values is None or not set(covar) <= set(values):
-                        return None, (
-                            f"load of {sorted(covar)} @ {step.ref} failed"
-                        )
-                    cache[(covar, step.ref)] = values
-                for name in sorted(covar):
-                    scratch.plant(name, values[name])
-                self.stats.payload_loads += 1
-                if report is not None:
-                    report.loaded_keys.append(covar)
-                    report.bytes_loaded += step.size_bytes
-            else:
+        with replay_scope(namespace):
+            for step in plan.steps:
+                if step.kind == "load":
+                    covar = frozenset(step.names)
+                    assert step.ref is not None
+                    values = cache.get((covar, step.ref))
+                    if values is None:
+                        values = load_values(covar, step.ref)
+                        if values is None or not set(covar) <= set(values):
+                            return None, f"load of {sorted(covar)} @ {step.ref} failed"
+                        cache[(covar, step.ref)] = values
+                    for name in sorted(covar):
+                        namespace.plant(name, values[name])
+                    self.stats.payload_loads += 1
+                    if report is not None:
+                        report.loaded_keys.append(covar)
+                        report.bytes_loaded += step.size_bytes
+                    continue
                 node = chain[step.index]
-                cell = cells[step.index]
-                scratch.begin_recording()
+                namespace.begin_recording()
                 try:
-                    code = compile(
-                        node.cell_source, f"<replay:{node.node_id}>", "exec"
-                    )
-                    exec(code, scratch)
+                    exec_node(node, namespace)
                 except Exception as exc:
-                    if scratch.recording:
-                        scratch.end_recording()
-                    return None, (
-                        f"replayed cell {node.node_id} raised {exc!r}"
-                    )
-                record = scratch.end_recording()
-                predicted = filter_user_names(set(cell.effects.definite_accesses))
+                    return None, f"replayed cell {node.node_id} raised {exc!r}"
+                finally:
+                    record = namespace.end_recording()
+                predicted = filter_user_names(set(cells[step.index].effects.definite_accesses))
                 if predicted - record.accessed:
                     self.stats.validation_mismatches += 1
                 self.stats.cells_replayed += 1
-                self._cache_products(node, scratch, cache, report)
-        return scratch.user_items(), ""
+                self._cache_products(node, namespace, cache, report)
+            return namespace.user_items(), ""
 
     def _cache_products(
         self,
         node: CheckpointNode,
-        scratch: PatchedNamespace,
+        namespace: PatchedNamespace,
         cache: Dict[Tuple[CoVarKey, str], Dict[str, Any]],
         report: Optional[Any],
     ) -> None:
@@ -440,16 +459,13 @@ class ReplayEngine:
         legacy recursion's memoization does.
         """
         for key in node.updated:
-            if all(scratch.peek(name, _ABSENT) is not _ABSENT for name in key):
+            if all(name in namespace for name in key):
                 cache.setdefault(
                     (key, node.node_id),
-                    {name: scratch.peek(name) for name in key},
+                    {name: namespace.peek(name) for name in key},
                 )
                 if report is not None and key not in report.recomputed_keys:
                     report.recomputed_keys.append(key)
-
-
-_ABSENT = object()
 
 
 def session_cost_model(
@@ -473,5 +489,7 @@ __all__ = [
     "PlanDecline",
     "ReplayEngine",
     "ValueLoader",
+    "exec_node",
+    "replay_scope",
     "session_cost_model",
 ]

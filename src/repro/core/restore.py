@@ -9,10 +9,11 @@ Kishu's checkout *incremental* and non-intrusive.
 The :class:`DataRestorer` reconstructs versioned co-variables whose
 payloads are missing (skipped at checkpoint time) or fail to load: it loads
 the cell's recorded dependencies — recursively recomputing any of *those*
-that are also missing — into a temporary namespace and re-runs the cell's
-code (Fig 11 of the paper). Memoizing materialized versions per checkout
-makes the recursion follow the shortest load/recompute path through the
-checkpoint graph.
+that are also missing — and re-runs the cell's code on them in a
+:func:`~repro.core.replay.replay_scope` of the checkout's namespace (Fig 11
+of the paper). Memoizing materialized versions per checkout makes the
+recursion follow the shortest load/recompute path through the checkpoint
+graph.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from repro.core.covariable import (
 )
 from repro.core.graph import CheckpointGraph
 from repro.core.planner import CheckoutPlan, CheckoutPlanner
-from repro.core.replay import ReplayEngine
+from repro.core.replay import ReplayEngine, exec_node, replay_scope
 from repro.core.retry import RetryPolicy
-from repro.core.serialization import SerializerChain, active_globals
+from repro.core.serialization import SerializerChain
 from repro.core.storage import CheckpointStore
 from repro.errors import (
     DeserializationError,
@@ -41,11 +42,6 @@ from repro.errors import (
 )
 from repro.kernel.namespace import PatchedNamespace
 from repro.obs import NO_OBSERVER, EventType, Observer
-
-#: Sentinel distinguishing "name absent" from "name bound to None" when the
-#: checkout barrier compares live bindings against its pre-materialization
-#: snapshot.
-_MISSING = object()
 
 
 @dataclass
@@ -62,13 +58,6 @@ class CheckoutReport:
     #: Replay-plan declines hit while materializing this checkout
     #: (:class:`~repro.core.replay.PlanDecline` records, reason + detail).
     declines: List[Any] = field(default_factory=list)
-
-    @property
-    def touched_names(self) -> Set[str]:
-        names: Set[str] = set(self.deleted_names)
-        for key in self.loaded_keys + self.recomputed_keys:
-            names |= key
-        return names
 
 
 class DataRestorer:
@@ -101,14 +90,16 @@ class DataRestorer:
         key: CoVarKey,
         node_id: str,
         *,
-        globals_for_load: Dict[str, Any],
+        namespace: PatchedNamespace,
         cache: Optional[Dict[Tuple[CoVarKey, str], Dict[str, Any]]] = None,
         report: Optional[CheckoutReport] = None,
     ) -> Dict[str, Any]:
         """Produce the value dict of versioned co-variable (key, node_id).
 
         Tries the stored payload first; on a missing or unloadable payload
-        falls back to recursive recomputation. ``cache`` memoizes versions
+        falls back to recomputation. ``namespace`` is the one the checkout
+        installs into: loaded functions bind it, and replays borrow it,
+        leaving its bindings as they were. ``cache`` memoizes versions
         across one checkout so shared dependencies load once.
         """
         if cache is None:
@@ -116,15 +107,13 @@ class DataRestorer:
         with self.observer.span(
             "checkout.materialize", covariable=sorted(key), node=node_id
         ):
-            return self._materialize(
-                key, node_id, globals_for_load, cache, report, depth=0
-            )
+            return self._materialize(key, node_id, namespace, cache, report, depth=0)
 
     def _materialize(
         self,
         key: CoVarKey,
         node_id: str,
-        globals_for_load: Dict[str, Any],
+        namespace: PatchedNamespace,
         cache: Dict[Tuple[CoVarKey, str], Dict[str, Any]],
         report: Optional[CheckoutReport],
         depth: int,
@@ -142,7 +131,7 @@ class DataRestorer:
         info = node.updated.get(key)
         values: Optional[Dict[str, Any]] = None
         if info is not None and info.stored:
-            values = self._try_load(key, node_id, globals_for_load)
+            values = self._try_load(key, node_id, namespace)
             if values is not None and report is not None:
                 report.loaded_keys.append(key)
                 report.bytes_loaded += info.size_bytes
@@ -156,11 +145,10 @@ class DataRestorer:
             values = self.replay_engine.try_materialize(
                 key,
                 node_id,
+                namespace=namespace,
                 cache=cache,
                 report=report,
-                load_values=lambda k, v: self._try_load(
-                    k, v, globals_for_load
-                ),
+                load_values=lambda k, v: self._try_load(k, v, namespace),
             )
             if (
                 values is not None
@@ -169,9 +157,7 @@ class DataRestorer:
             ):
                 report.recomputed_keys.append(key)
         if values is None:
-            values = self._recompute(
-                key, node_id, globals_for_load, cache, report, depth
-            )
+            values = self._recompute(key, node_id, namespace, cache, report, depth)
             if report is not None:
                 report.recomputed_keys.append(key)
 
@@ -179,7 +165,7 @@ class DataRestorer:
         return values
 
     def _try_load(
-        self, key: CoVarKey, node_id: str, globals_for_load: Dict[str, Any]
+        self, key: CoVarKey, node_id: str, namespace: PatchedNamespace
     ) -> Optional[Dict[str, Any]]:
         try:
             # Transient read faults retry with backoff; anything storage
@@ -192,8 +178,7 @@ class DataRestorer:
         if payload.data is None:
             return None
         try:
-            with active_globals(globals_for_load):
-                values = self.serializer.deserialize(payload.data, payload.serializer)
+            values = self.serializer.deserialize(payload.data, payload.serializer, namespace)
         except DeserializationError:
             return None
         if not isinstance(values, dict):
@@ -204,59 +189,61 @@ class DataRestorer:
         self,
         key: CoVarKey,
         node_id: str,
-        globals_for_load: Dict[str, Any],
+        namespace: PatchedNamespace,
         cache: Dict[Tuple[CoVarKey, str], Dict[str, Any]],
         report: Optional[CheckoutReport],
         depth: int,
     ) -> Dict[str, Any]:
-        """Re-run CE ``node_id`` on its recorded dependencies (Fig 11)."""
+        """Re-run CE ``node_id`` on its recorded dependencies (Fig 11),
+        all materialized before its replay scope opens: scopes never nest."""
         node = self.graph.get(node_id)
         if not node.cell_source:
             raise RestorationError(
                 f"cannot recompute co-variable {sorted(key)}: node {node_id} "
                 "records no cell code"
             )
-        temp_ns: Dict[str, Any] = {"__builtins__": __builtins__, "__name__": "__main__"}
+        inputs: Dict[str, Any] = {}
         for dep_key, dep_node in node.dependencies.items():
-            dep_values = self._materialize(
-                dep_key, dep_node, globals_for_load, cache, report, depth + 1
+            inputs.update(
+                self._materialize(dep_key, dep_node, namespace, cache, report, depth + 1)
             )
-            temp_ns.update(dep_values)
-        try:
-            with self.observer.span(
-                "replay.legacy", node=node_id, covariable=sorted(key), depth=depth
-            ):
-                exec(compile(node.cell_source, "<recompute>", "exec"), temp_ns)
-        except Exception as exc:
-            # The kernel commits cells that raise: a cell can error live,
-            # leave its (partially mutated) namespace behind, and still
-            # produce a checkpoint — conservative dirty-marking then bumps
-            # co-variables the cell never wrote. Replaying such a cell
-            # reproduces the same deterministic error at the same point,
-            # with the same partial effects applied to the materialized
-            # dependencies in ``temp_ns``. If every name of the key is
-            # present there, the failed replay IS the faithful
-            # reconstruction; only a key the replay cannot resolve at all
-            # is a hard restoration failure.
-            if all(name in temp_ns for name in key):
+        with replay_scope(namespace):
+            for name, value in inputs.items():
+                namespace.plant(name, value)
+            try:
+                with self.observer.span(
+                    "replay.legacy", node=node_id, covariable=sorted(key), depth=depth
+                ):
+                    exec_node(node, namespace)
+            except Exception as exc:
+                # The kernel commits cells that raise: a cell can error
+                # live, leave its (partially mutated) namespace behind, and
+                # still produce a checkpoint — conservative dirty-marking
+                # then bumps co-variables the cell never wrote. Replaying
+                # such a cell reproduces the same deterministic error at
+                # the same point, with the same partial effects applied to
+                # the materialized dependencies. If every name of the key
+                # is bound, the failed replay IS the faithful
+                # reconstruction; only a key the replay cannot resolve at
+                # all is a hard restoration failure.
+                if not all(name in namespace for name in key):
+                    raise RestorationError(
+                        f"re-running cell of node {node_id} failed while "
+                        f"recomputing co-variable {sorted(key)}: {exc!r}"
+                    ) from exc
                 self.observer.event(
                     EventType.REPLAY_ERROR_TOLERATED,
                     node=node_id,
                     covariable=sorted(key),
                     error=f"{type(exc).__name__}: {exc}",
                 )
-                return {name: temp_ns[name] for name in key}
-            raise RestorationError(
-                f"re-running cell of node {node_id} failed while recomputing "
-                f"co-variable {sorted(key)}: {exc!r}"
-            ) from exc
-        missing = [name for name in key if name not in temp_ns]
-        if missing:
-            raise RestorationError(
-                f"re-running cell of node {node_id} did not produce "
-                f"variable(s) {missing} of co-variable {sorted(key)}"
-            )
-        return {name: temp_ns[name] for name in key}
+            missing = [name for name in key if name not in namespace]
+            if missing:
+                raise RestorationError(
+                    f"re-running cell of node {node_id} did not produce "
+                    f"variable(s) {missing} of co-variable {sorted(key)}"
+                )
+            return {name: namespace.peek(name) for name in key}
 
 
 class StateLoader:
@@ -321,35 +308,20 @@ class StateLoader:
             report.identical_keys = sorted(plan.identical, key=sorted)
 
             # Materialize every diverged co-variable before touching the
-            # live namespace, so a failed load cannot leave the state
-            # half-updated.
-            #
-            # Hidden-store barrier: fallback replay/recompute run cell
-            # code in scratch namespaces, but functions deserialized by
-            # value are rebound to the *live* namespace (so that, once
-            # planted, they execute against the session they live in).
-            # A replayed cell that calls such a function can therefore
-            # write or delete live bindings through ``__globals__``
-            # mid-checkout — side effects the plan, which diffs committed
-            # states only, cannot account for. Snapshot the binding map
-            # and reinstate it before the apply phase.
-            bindings_before = namespace.user_items()
+            # live bindings, so a failed load cannot leave the state
+            # half-updated. Replays borrow the namespace itself, and
+            # their scope gives every binding back when they end.
             cache: Dict[Tuple[CoVarKey, str], Dict[str, Any]] = {}
             materialized: List[Tuple[CoVarKey, Dict[str, Any]]] = []
             for load in plan.loads:
                 values = self.restorer.materialize(
                     load.key,
                     load.node_id,
-                    globals_for_load=namespace,
+                    namespace=namespace,
                     cache=cache,
                     report=report,
                 )
                 materialized.append((load.key, values))
-            for name in namespace.user_names() - set(bindings_before):
-                namespace.uproot(name)
-            for name, obj in bindings_before.items():
-                if namespace.peek(name, _MISSING) is not obj:
-                    namespace.plant(name, obj)
 
             # Validate every materialized dict against its co-variable's
             # member names BEFORE mutating the namespace: a payload that

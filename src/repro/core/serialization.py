@@ -23,44 +23,25 @@ Objects that no pickler in the chain can handle (generators, hash objects,
 classes marked ``_unserializable``) raise :class:`SerializationError`; the
 checkpointing layer then skips the payload and relies on fallback
 recomputation (§5.3).
+
+A function rebuilt by value needs a globals dict: the caller passes it to
+:meth:`SerializerChain.deserialize` as ``namespace`` (a checkout passes the
+kernel namespace it installs into), and every function the payload
+rebuilds binds it.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import marshal
 import pickle
 import types
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 from repro.errors import DeserializationError, SerializationError
 
 PICKLE_PROTOCOL = 5
-
-#: While a fallback payload is being deserialized, functions rebuilt by
-#: value need a globals mapping to execute against. The session installs the
-#: live kernel namespace here around each load (see ``active_globals``).
-_ACTIVE_GLOBALS: List[Dict[str, Any]] = []
-
-
-class active_globals:
-    """Context manager installing the globals dict used when reconstructing
-    by-value functions during deserialization."""
-
-    def __init__(self, globals_dict: Dict[str, Any]) -> None:
-        self._globals = globals_dict
-
-    def __enter__(self) -> None:
-        _ACTIVE_GLOBALS.append(self._globals)
-
-    def __exit__(self, *exc_info) -> None:
-        _ACTIVE_GLOBALS.pop()
-
-
-def _current_globals() -> Dict[str, Any]:
-    if _ACTIVE_GLOBALS:
-        return _ACTIVE_GLOBALS[-1]
-    return {"__builtins__": __builtins__}
 
 
 def _rebuild_function(
@@ -69,15 +50,34 @@ def _rebuild_function(
     defaults: Optional[tuple],
     closure_values: Optional[tuple],
     qualname: str,
+    *,
+    namespace: Optional[Dict[str, Any]] = None,
 ) -> types.FunctionType:
-    """Reconstruct a by-value-serialized function (fallback pickler)."""
+    """Reconstruct a by-value-serialized function (fallback pickler),
+    bound to ``namespace`` as its globals."""
     code = marshal.loads(code_bytes)
     closure = None
     if closure_values is not None:
         closure = tuple(types.CellType(value) for value in closure_values)
-    function = types.FunctionType(code, _current_globals(), name, defaults, closure)
+    if namespace is None:
+        namespace = {"__builtins__": __builtins__}
+    function = types.FunctionType(code, namespace, name, defaults, closure)
     function.__qualname__ = qualname
     return function
+
+
+class _NamespaceUnpickler(pickle.Unpickler):
+    """Stdlib unpickling that hands ``namespace`` to every
+    :func:`_rebuild_function` call the payload makes."""
+
+    def __init__(self, data: bytes, namespace: Optional[Dict[str, Any]]) -> None:
+        super().__init__(io.BytesIO(data))
+        self._namespace = namespace
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module == __name__ and name == "_rebuild_function":
+            return functools.partial(_rebuild_function, namespace=self._namespace)
+        return super().find_class(module, name)
 
 
 class PrimaryPickler:
@@ -94,7 +94,8 @@ class PrimaryPickler:
         _StrictPickler(buffer, PICKLE_PROTOCOL).dump(obj)
         return buffer.getvalue()
 
-    def loads(self, data: bytes) -> Any:
+    def loads(self, data: bytes, namespace: Optional[Dict[str, Any]] = None) -> Any:
+        # Strict payloads hold no by-value functions: nothing to bind.
         return pickle.loads(data)
 
 
@@ -132,8 +133,9 @@ class FallbackPickler:
     Local functions, lambdas, and functions defined in notebook cells are
     not importable by name, so stdlib pickle rejects them. Like Dill, this
     pickler serializes their code objects (via ``marshal``) together with
-    defaults and closure values, and rebinds their globals to the live
-    kernel namespace at load time.
+    defaults and closure values. ``loads`` binds their globals to the
+    ``namespace`` its caller passes (a fresh builtins-only dict without
+    one).
     """
 
     name = "fallback"
@@ -143,8 +145,8 @@ class FallbackPickler:
         _ByValuePickler(buffer, PICKLE_PROTOCOL).dump(obj)
         return buffer.getvalue()
 
-    def loads(self, data: bytes) -> Any:
-        return pickle.loads(data)
+    def loads(self, data: bytes, namespace: Optional[Dict[str, Any]] = None) -> Any:
+        return _NamespaceUnpickler(data, namespace).load()
 
 
 class _ByValuePickler(pickle.Pickler):
@@ -221,12 +223,15 @@ class SerializerChain:
                 last_error = exc
         raise SerializationError(names, cause=last_error)
 
-    def deserialize(self, data: bytes, pickler_name: str) -> Dict[str, Any]:
+    def deserialize(
+        self, data: bytes, pickler_name: str, namespace: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        """Load a payload; functions rebuilt by value bind ``namespace``."""
         pickler = self._by_name.get(pickler_name)
         if pickler is None:
             raise DeserializationError(f"unknown pickler {pickler_name!r}")
         try:
-            return pickler.loads(data)
+            return pickler.loads(data, namespace)
         except Exception as exc:
             raise DeserializationError(
                 f"payload failed to load with pickler {pickler_name!r}: {exc!r}"

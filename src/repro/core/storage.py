@@ -1024,6 +1024,9 @@ class SQLiteCheckpointStore(CheckpointStore):
         "CREATE INDEX IF NOT EXISTS idx_payloads_node"
         " ON payloads (session_id, node_id)",
     )
+    #: Columns every ``nodes`` table has had since v0; a file whose
+    #: ``nodes`` lacks one is another program's, and the open refuses it.
+    _V0_NODE_COLUMNS = ("node_id", "parent_id", "timestamp", "execution_count", "cell_source")
     #: v1 column lists, used to carry rows through the v1 rebuild.
     _V1_COLUMNS = {
         "nodes": "node_id, parent_id, timestamp, execution_count, cell_source, committed",
@@ -1093,7 +1096,16 @@ class SQLiteCheckpointStore(CheckpointStore):
         works in that one. ``synchronous`` is pinned to FULL, SQLite's
         default, so a build whose WAL default is NORMAL still fsyncs the
         log at every COMMIT.
+
+        A ``nodes`` table without the v0 columns is refused before any of
+        this writes to the file, which is left byte-identical.
         """
+        columns = {row[1] for row in conn.execute("PRAGMA table_info(nodes)")}
+        missing = [name for name in self._V0_NODE_COLUMNS if name not in columns]
+        if columns and missing:
+            raise StorageError(
+                f"not a checkpoint store: table nodes lacks column(s) {', '.join(missing)}"
+            )
         if self.path != ":memory:":
             conn.execute("PRAGMA journal_mode = WAL")
             conn.execute("PRAGMA synchronous = FULL")
@@ -1104,9 +1116,6 @@ class SQLiteCheckpointStore(CheckpointStore):
             )
         }
         if "nodes" in existing:
-            columns = {
-                row[1] for row in conn.execute("PRAGMA table_info(nodes)")
-            }
             if "committed" not in columns:
                 conn.execute(
                     "ALTER TABLE nodes ADD COLUMN committed INTEGER NOT NULL DEFAULT 1"

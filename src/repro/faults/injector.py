@@ -322,8 +322,10 @@ class FaultInjectingSerializer:
             raise SerializationError(key, cause=signal) from signal
         return self.inner.serialize(key, values)
 
-    def deserialize(self, data: bytes, serializer: Optional[str]) -> Any:
-        return self.inner.deserialize(data, serializer)
+    def deserialize(
+        self, data: bytes, serializer: Optional[str], namespace: Optional[Dict[str, Any]] = None
+    ) -> Any:
+        return self.inner.deserialize(data, serializer, namespace)
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self.inner, name)

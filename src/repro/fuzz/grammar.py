@@ -35,10 +35,12 @@ constructs the analysis stack claims to handle (DESIGN.md §12):
 * **hazard** — cells whose outcome or reach the analysis must not
   guess: a cell that raises before a ``def`` that would make a live
   global-storing helper pure, a cell that rebinds a live name and then
-  raises, and calls of a global-storing function through a list element
-  or a method, which no call-site analysis resolves. An opt-in family
-  (:data:`OPT_IN_CONSTRUCTS`): only the ``hazard-heavy`` profile weighs
-  it, so every other profile's programs are unchanged.
+  raises, and calls of a global-storing function through a list element,
+  a ``SimpleNamespace`` attribute or a method of a notebook class (which
+  is unpicklable, so checkout replays it), none of which a call-site
+  analysis resolves. An opt-in family (:data:`OPT_IN_CONSTRUCTS`): only
+  the ``hazard-heavy`` profile weighs it, so every other profile's
+  programs are unchanged.
 
 Everything is derived from ``random.Random(seed)`` plus an immutable
 :class:`FuzzConfig`; no dict/set iteration order, wall clock, or
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import textwrap
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -578,19 +581,19 @@ class ProgramGenerator:
             ns.forget(target)
             ns.data.append(target)
             return f"{target} = [{n}]\n{n} // 0"
-        # A global-storing function behind a list element or a method.
-        # (A notebook class would do for the method, but checkout replays
-        # an unpicklable class into a scratch namespace its methods then
-        # keep as their globals.)
+        # A global-storing function behind a list element, a namespace
+        # attribute or a notebook class's method. The class pickles by
+        # reference to a ``__main__`` that lacks it, so checkout replays
+        # the class and its instance.
         written = ns.fresh("w", rng)
-        define = (
-            f"def _hz{n}(n):\n"
-            f"    global {written}\n"
-            f"    {written} = [n, n + 1]\n"
-            f"    return n % 7\n"
-        )
-        if rng.random() < 0.5:
+        body = f"global {written}\n{written} = [n, n + 1]\nreturn n % 7\n"
+        define = f"def _hz{n}(n):\n" + textwrap.indent(body, "    ")
+        holder = rng.random()
+        if holder < 0.5:
             ns.holders.append((f"hz{n}[0]", written))
             return f"{define}hz{n} = [_hz{n}]"
         ns.holders.append((f"hz{n}.bump", written))
-        return f"import types\n{define}hz{n} = types.SimpleNamespace(bump=_hz{n})"
+        if holder < 0.75:
+            return f"import types\n{define}hz{n} = types.SimpleNamespace(bump=_hz{n})"
+        method = "    def bump(self, n):\n" + textwrap.indent(body, " " * 8)
+        return f"class _Hz{n}:\n{method}hz{n} = _Hz{n}()"

@@ -71,14 +71,17 @@ def shrink_program(
 ) -> List[str]:
     """Minimize a generated program against the differential oracle.
 
-    The predicate re-runs the full oracle on the candidate cells (branch
-    rounds off — divergences found in the main program shrink without
-    them) and keeps candidates that still produce a divergence, of the
-    original ``kind`` when given.
+    The predicate re-runs the full oracle on the candidate cells, with
+    the program's branch cells (so a divergence found only in a branch
+    round shrinks too), and keeps candidates that still produce a
+    divergence, of the original ``kind`` when given. Only the main cells
+    shrink; the branch cells stay whole.
     """
 
     def still_fails(candidate: List[str]) -> bool:
-        report = run_cells_oracle(candidate, seed=program.seed)
+        report = run_cells_oracle(
+            candidate, seed=program.seed, branch_cells=program.branch_cells
+        )
         if kind is None:
             return not report.ok
         return any(d.kind == kind for d in report.divergences)
@@ -102,9 +105,13 @@ CELLS = [
 {cells}
 ]
 
+BRANCH_CELLS = [
+{branch_cells}
+]
+
 
 def test_{name}():
-    report = run_cells_oracle(CELLS, seed={seed})
+    report = run_cells_oracle(CELLS, seed={seed}, branch_cells=tuple(BRANCH_CELLS))
     assert report.ok, report.describe()
 '''
 
@@ -118,14 +125,16 @@ def emit_regression_test(
     config: Optional[FuzzConfig] = None,
     origin: str = "repro fuzz",
     profile: str = "default",
+    branch_cells: Sequence[str] = (),
 ) -> str:
     """Write a ready-to-commit pytest file pinning ``cells`` as a repro.
 
     The emitted test asserts the oracle *passes* — committed once the
     underlying bug is fixed, it keeps the divergence from regressing.
-    Its docstring names the command that regenerates the original
-    program, under ``profile``, the grammar profile it came from.
-    Returns the path written.
+    It runs the oracle's branch rounds over ``branch_cells``, the
+    program's continuation cells. Its docstring names the command that
+    regenerates the original program, under ``profile``, the grammar
+    profile it came from. Returns the path written.
     """
     rendered = "\n".join(f"    {cell!r}," for cell in cells)
     name = f"fuzz_seed_{seed}".replace("-", "_")
@@ -139,6 +148,7 @@ def emit_regression_test(
         original=original_cells if original_cells is not None else len(cells),
         shrunk=len(cells),
         cells=rendered,
+        branch_cells="\n".join(f"    {cell!r}," for cell in branch_cells),
         name=name,
     )
     directory = os.path.dirname(path)

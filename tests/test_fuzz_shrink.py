@@ -3,8 +3,11 @@
 import subprocess
 import sys
 import pathlib
+from types import SimpleNamespace
 
-from repro.fuzz.shrink import emit_regression_test, shrink_cells
+import repro.fuzz.shrink as shrink_module
+from repro.fuzz.grammar import FuzzConfig, FuzzProgram
+from repro.fuzz.shrink import emit_regression_test, shrink_cells, shrink_program
 
 
 class TestShrinkCells:
@@ -104,6 +107,47 @@ class TestEmitRegressionTest:
         namespace = {}
         exec(compile(path.read_text(), str(path), "exec"), namespace)
         assert namespace["CELLS"] == tricky
+
+
+class TestBranchCells:
+    def test_branch_round_divergence_shrinks_and_pins_its_branch_cells(
+        self, tmp_path, monkeypatch
+    ):
+        """A divergence that only a branch round shows: the shrinker runs
+        every candidate with the program's branch cells, and the emitted
+        test hands them to the oracle."""
+        branch = ("b1 = 1", "b2 = 2")
+        marker = "hz = 'marker'"
+        cells = tuple(f"x{i} = {i}" for i in range(6)) + (marker,) + ("y = 0", "z = 1")
+        program = FuzzProgram(seed=4, config=FuzzConfig(), cells=cells, branch_cells=branch)
+
+        def oracle(candidate, *, seed, branch_cells=()):
+            diverged = marker in candidate and tuple(branch_cells) == branch
+            return SimpleNamespace(
+                ok=not diverged,
+                divergences=[SimpleNamespace(kind="branch")] if diverged else [],
+            )
+
+        monkeypatch.setattr(shrink_module, "run_cells_oracle", oracle)
+        minimized = shrink_program(program, kind="branch")
+        assert minimized == [marker]
+
+        path = tmp_path / "test_fuzz_seed_4.py"
+        emit_regression_test(
+            minimized, seed=program.seed, path=str(path), branch_cells=program.branch_cells
+        )
+        namespace: dict = {}
+        exec(compile(path.read_text(), str(path), "exec"), namespace)
+        assert namespace["BRANCH_CELLS"] == list(branch)
+        calls = []
+
+        def recording_oracle(cells, **kwargs):
+            calls.append((cells, kwargs))
+            return SimpleNamespace(ok=True)
+
+        namespace["run_cells_oracle"] = recording_oracle
+        namespace["test_fuzz_seed_4"]()
+        assert calls == [([marker], {"seed": 4, "branch_cells": branch})]
 
 
 class TestRegenerateLine:

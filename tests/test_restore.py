@@ -140,19 +140,19 @@ class TestFallbackRecomputation:
         assert session.plan_stats.plans_executed >= 1
         assert session.plan_stats.validation_mismatches == 0
 
-    def test_lazy_generator_limitation_remains_without_static_replay(self, session):
+    def test_lazy_generator_resolves_without_static_replay(self, session):
         # With the static replay engine disabled, the legacy recursion
-        # reruns the producing cell on its *runtime-recorded* deps only;
-        # the lazily-read `seed` is absent from the scratch namespace and
-        # iteration fails — the original §5.3 limitation.
+        # reruns the producing cell on its *runtime-recorded* deps only,
+        # which miss the lazily-read `seed`. The replay runs in the
+        # session's own namespace, so the restored generator reads `seed`
+        # there when a later cell iterates it, as a cold re-execution does.
         session.loader.restorer.replay_engine = None
         session.run_cell("seed = [5]")
         session.run_cell("gen = (i * seed[0] for i in range(3))")
         target = session.head_id
         session.run_cell("del gen")
         session.checkout(target)
-        with pytest.raises(Exception):
-            list(session.kernel.get("gen"))
+        assert list(session.kernel.get("gen")) == [0, 5, 10]
 
     def test_recursive_fallback_chain(self, session):
         # The paper's Fig 11: plot@t3 needs gmm@t2, which itself needs

@@ -10,7 +10,6 @@ from repro.core.serialization import (
     FallbackPickler,
     PrimaryPickler,
     SerializerChain,
-    active_globals,
 )
 from repro.errors import DeserializationError, SerializationError
 
@@ -82,8 +81,7 @@ class TestFallbackPickler:
         pickler = FallbackPickler()
         blob = pickler.dumps(cell_ns["f"])
         target = {"__builtins__": __builtins__, "base": 200}
-        with active_globals(target):
-            restored = pickler.loads(blob)
+        restored = pickler.loads(blob, target)
         assert restored() == 201
 
     def test_importable_function_stays_by_reference(self):

@@ -35,6 +35,7 @@ from repro.core.storage import (
     persist_checkpoint,
     read_store_usage,
 )
+from repro.errors import StorageError
 
 TESTS = pathlib.Path(__file__).parent
 SIDECARS = ("-wal", "-shm", "-journal")
@@ -361,3 +362,20 @@ def test_failed_open_leaves_one_file(tmp_path):
         assert journal_mode(conn) == "delete"
     finally:
         conn.close()
+
+
+def test_refused_open_leaves_the_file_byte_identical(tmp_path):
+    """The shape check runs before the journal switch and the v0
+    ``ALTER``: a refused file keeps every byte, and the error names the
+    table and the columns it lacks."""
+    path = tmp_path / "other.db"
+    conn = sqlite3.connect(str(path))
+    conn.execute("CREATE TABLE nodes (wrong TEXT)")
+    conn.commit()
+    conn.close()
+    before = path.read_bytes()
+    with pytest.raises(StorageError, match="nodes") as refused:
+        SQLiteCheckpointStore(str(path))
+    assert "cell_source" in str(refused.value)
+    assert path.read_bytes() == before
+    assert not [name for name in listing(tmp_path) if name.endswith(SIDECARS)]

@@ -420,10 +420,11 @@ def chain_analysis(
     empty analysis state in the configuration to fold (default: summaries
     and the default stubs), then builds the cell nodes the memo lacks
     from the fold's effects, caching them under the chain's prefix keys.
-    So cells another fold through the memo (a checkout's resync) analysed
-    are not analysed again, and that fold never pays for nodes. The
-    closure holds only the memo and that state: a session that hands it
-    to its replay engine stays free of reference cycles.
+    So cells another fold through the memo (a checkout's resync) analysed,
+    or a session's live state the memo adopted, are not analysed again,
+    and that fold never pays for nodes. The closure holds only the memo
+    and that state: a session that hands it to its replay engine stays
+    free of reference cycles.
     """
     from repro.analysis.summaries import NotebookSummaries, prefix_keys
     from repro.analysis.typetrack import StubContext
@@ -436,7 +437,7 @@ def chain_analysis(
     def analyse(
         sources: Sequence[str], executed: Optional[Sequence[bool]]
     ) -> List[CellNode]:
-        state, effects = memo.fold(sources, blank, executed)
+        state = memo.fold(sources, blank, executed)
         cells: List[CellNode] = []
         for index, key in enumerate(prefix_keys(sources, executed)):
             cell = memo.nodes.get(key)
@@ -444,7 +445,7 @@ def chain_analysis(
                 cell = memo.nodes[key] = _cell_node(
                     index,
                     sources[index],
-                    effects[index],
+                    state.steps[index].effects,
                     state.stubs,
                     interprocedural=interprocedural,
                 )

@@ -48,7 +48,9 @@ classic bottom-up summary analysis over the notebook's call graph:
   holds. It is the one fold of a chain: a checkout's resync
   (:meth:`NotebookSummaries.from_sources`, or
   :meth:`StubFold.from_sources` with summaries off), the replay engine
-  and file-mode dataflow all run it.
+  and file-mode dataflow all run it. A state keeps the steps it took,
+  so a state its owner stepped itself — a session's live state — enters
+  the memo through :meth:`PrefixMemo.adopt` as the fold of those steps.
 
 Soundness contract with the CrossValidator (DESIGN.md §14): deferring a
 def-site escape is safe only if every path by which the body's hidden
@@ -78,6 +80,7 @@ from typing import (
     Generic,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -108,6 +111,7 @@ __all__ = [
     "CallArg",
     "CallSite",
     "FoldState",
+    "FoldStep",
     "FunctionSummary",
     "InvalidationRecord",
     "NotebookSummaries",
@@ -990,6 +994,16 @@ class SummaryView:
         )
 
 
+class FoldStep(NamedTuple):
+    """One cell a state stepped past."""
+
+    source: str
+    #: False when the cell raised.
+    executed: bool
+    #: What :meth:`StubFold.analyze` gave the cell before it ran.
+    effects: CellEffects
+
+
 class StubFold:
     """The analysis state of a notebook with summaries off: its stub type
     environment alone, or nothing when stubs are off too.
@@ -1003,6 +1017,8 @@ class StubFold:
     def __init__(self, stubs: Optional[StubContext] = None) -> None:
         #: The context library calls resolve against (DESIGN.md §15).
         self.stubs = stubs
+        #: Every cell :meth:`observe` stepped past, in order.
+        self.steps: List[FoldStep] = []
 
     @classmethod
     def from_sources(
@@ -1024,13 +1040,15 @@ class StubFold:
         """
         start = cls(StubContext(stubs.registry) if stubs is not None else None)
         memo = memo if memo is not None else PrefixMemo()
-        state, _ = memo.fold(sources, start, executed)
+        state = memo.fold(sources, start, executed)
         assert isinstance(state, cls)
         return state
 
     def fork(self, k: int) -> "StubFold":
         """An independent copy as of before cell ``k``."""
-        return StubFold(self.stubs.fork(k) if self.stubs is not None else None)
+        copy = StubFold(self.stubs.fork(k) if self.stubs is not None else None)
+        copy.steps = self.steps[:k]
+        return copy
 
     def analyze(self, source: str) -> CellEffects:
         """Analyze ``source``, the next cell, intraprocedurally."""
@@ -1045,6 +1063,7 @@ class StubFold:
             self.stubs.observe_cell(
                 source, executed=executed, opaque=is_opaque_cell(effects)
             )
+        self.steps.append(FoldStep(source, executed, effects))
         return 0
 
     def advance(self, source: str, executed: bool = True) -> CellEffects:
@@ -1111,6 +1130,7 @@ class NotebookSummaries(StubFold):
         copy = NotebookSummaries(
             self.stubs.fork(k) if self.stubs is not None else None
         )
+        copy.steps = self.steps[:k]
         for name, events in self._events.items():
             kept = [event for event in events if event[0] < k]
             if kept:
@@ -1434,20 +1454,18 @@ class PrefixMemo:
 
     Each key of a folded chain — see :func:`prefix_keys`; it covers the
     sources and their outcomes — maps to a state that folded at least
-    that prefix, and to the effects of the
-    prefix's last cell; ``fork`` cuts the state after the first ``k``
-    cells back out. A stored state is a copy no caller holds, and it is
-    never advanced. A later fold re-points every key of its chain at its
-    own state, so a state stays alive only while it holds the only fold
-    of some prefix. One memo serves one configuration (summaries and
-    stubs on or off). States folded under one stub registry do not serve
-    a fold under another: a change of registry fingerprint empties the
-    memo.
+    that prefix, with each cell's effects among its steps; ``fork`` cuts
+    the state after the first ``k`` cells back out. A stored state is a
+    copy no caller holds, and it is never advanced. A later fold or
+    adoption re-points every key of its chain at its own state, so a
+    state stays alive only while it holds the only fold of some prefix.
+    One memo serves one configuration (summaries and stubs on or off).
+    States folded under one stub registry do not serve a fold under
+    another: a change of registry fingerprint empties the memo.
     """
 
     def __init__(self) -> None:
         self._tables: Dict[Tuple[int, int], FoldState] = {}
-        self._effects: Dict[Tuple[int, int], CellEffects] = {}
         #: Dataflow cell nodes built from this memo's folds, by prefix key
         #: (:func:`~repro.analysis.dataflow.chain_analysis`); emptied with
         #: the memo.
@@ -1460,14 +1478,29 @@ class PrefixMemo:
     def __len__(self) -> int:
         return len(self._tables)
 
+    def _follow_registry(self, state: FoldState) -> None:
+        """Empty the memo unless its states resolved library calls against
+        the registry ``state``'s stub context holds now."""
+        registry = state.stubs.registry if state.stubs is not None else None
+        token = registry.fingerprint() if registry is not None else None
+        if token != self._registry:
+            self._tables.clear()
+            self.nodes.clear()
+            self._registry = token
+
+    def _remember(self, keys: Sequence[Tuple[int, int]], state: FoldState) -> None:
+        stored = state.fork(len(keys))
+        for key in keys:
+            self._tables[key] = stored
+
     def fold(
         self,
         sources: Sequence[str],
         start: FoldState,
         executed: Optional[Sequence[bool]] = None,
-    ) -> Tuple[FoldState, List[CellEffects]]:
-        """The state after ``sources`` ran in order, and each source's
-        effects.
+    ) -> FoldState:
+        """The state after ``sources`` ran in order, with each source's
+        step.
 
         ``executed`` holds each source's outcome (default all True).
         Forks the deepest prefix of ``sources`` the memo holds, or
@@ -1478,24 +1511,42 @@ class PrefixMemo:
         every source from ``start`` either way, and is a copy the caller
         may advance.
         """
-        registry = start.stubs.registry if start.stubs is not None else None
-        token = registry.fingerprint() if registry is not None else None
-        if token != self._registry:
-            self._tables.clear()
-            self._effects.clear()
-            self.nodes.clear()
-            self._registry = token
+        self._follow_registry(start)
         outcomes = executed or [True] * len(sources)
         keys = prefix_keys(sources, outcomes)
         k = next((key[0] for key in reversed(keys) if key in self._tables), 0)
         state = (self._tables[keys[k - 1]] if k else start).fork(k)
-        effects = [self._effects[key] for key in keys[:k]]
         for source, ran in zip(sources[k:], outcomes[k:]):
-            effects.append(state.advance(source, ran))
+            state.advance(source, ran)
         if k < len(sources):
-            stored = state.fork(len(sources))
-            for key, cell_effects in zip(keys, effects):
-                self._tables[key] = stored
-                self._effects[key] = cell_effects
+            self._remember(keys, state)
         self.reused, self.folded = k, len(sources) - k
-        return state, effects
+        return state
+
+    def adopt(
+        self,
+        sources: Sequence[str],
+        executed: Sequence[bool],
+        state: FoldState,
+    ) -> int:
+        """Remember ``state``, which its owner stepped itself, as the fold
+        of ``sources`` with their outcomes ``executed``; returns how many
+        sources that memoized.
+
+        The state must have analysed each cell in the memo's
+        configuration, against the registry its stub context holds now;
+        it is the caller that knows. The memo checks the rest: it adopts
+        nothing unless the state stepped exactly these sources with these
+        outcomes, and nothing when it already holds the whole chain.
+        Otherwise it stores a copy without caches under every key of the
+        chain, as :meth:`fold` does; ``state`` itself is left to its owner.
+        """
+        stepped = [(step.source, step.executed) for step in state.steps]
+        if not sources or stepped != list(zip(sources, executed)):
+            return 0
+        self._follow_registry(state)
+        keys = prefix_keys(sources, executed)
+        if keys[-1] in self._tables:
+            return 0
+        self._remember(keys, state)
+        return len(keys)

@@ -127,7 +127,8 @@ class KishuSession:
     Its :attr:`analysis` state (DESIGN.md §14) is stepped by the kernel
     hooks the way a fold of the head's chain steps it — each cell is
     analysed before it runs and observed after, with whether it raised —
-    and a checkout replaces it with the fold of the target's chain.
+    and a checkout hands it to the prefix memo, then replaces it with the
+    fold of the target's chain.
     """
 
     def __init__(
@@ -196,12 +197,13 @@ class KishuSession:
         self.analysis: FoldState = (
             NotebookSummaries(stubs) if use_summaries else StubFold(stubs)
         )
-        #: With summaries and stubs both off the state never changes, so a
-        #: checkout has nothing to resync.
-        self._tracks_bindings = use_summaries or use_stubs
-        #: Analysis states folded by checkout resyncs and the replay
-        #: engine, by chain prefix: an undo or redo re-analyses only the
-        #: cells since the deepest ancestor folded (DESIGN.md §14).
+        #: Fingerprint of the stub registry the analysis state began under.
+        self._analysis_registry = self._registry_token()
+        #: Analysis states by chain prefix: those checkout resyncs and the
+        #: replay engine folded, and the live state each checkout hands
+        #: over. A checkout re-analyses only the cells since the deepest
+        #: ancestor the memo holds, and none along a chain the session
+        #: reached live (DESIGN.md §14).
         self._resync_memo = PrefixMemo()
 
         # The session's DeltaDetector observes every cell's access record
@@ -244,6 +246,10 @@ class KishuSession:
     def stubs(self) -> Optional[StubContext]:
         """The stub type environment, or None with stubs off."""
         return self.analysis.stubs
+
+    def _registry_token(self) -> Optional[str]:
+        stubs = self.analysis.stubs
+        return stubs.registry.fingerprint() if stubs is not None else None
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -297,10 +303,11 @@ class KishuSession:
             # initial synthetic checkpoint so every later state is reachable.
             record = AccessRecord()
             record.sets |= set(existing)
-            self._commit(record, ATTACH_SOURCE, self.kernel.execution_count)
             # A fold of the chain steps over this node's source like any
-            # cell's, so the live state does too.
+            # cell's, so the live state does too, before the commit as for
+            # a cell: a commit that folds a pending carryover refolds it.
             self.analysis.advance(ATTACH_SOURCE)
+            self._commit(record, ATTACH_SOURCE, self.kernel.execution_count)
 
     def detach(self) -> None:
         if not self._attached:
@@ -762,6 +769,7 @@ class KishuSession:
         """
         resolved = self.refs.resolve(ref)
         checkpoint_id = resolved if resolved is not None else ref
+        self._hand_over()
         report = self.loader.checkout(
             checkpoint_id,
             self.kernel.user_ns,
@@ -775,6 +783,32 @@ class KishuSession:
             self.refs.activate_branch(None)
         return report
 
+    def _hand_over(self) -> None:
+        """Memoize the live analysis state as the fold of the head's chain.
+
+        The hooks stepped it the way a fold of that chain steps a copy,
+        so this checkout's replay engine and resync, and any later
+        checkout along the chain, analyse none of its cells again. The
+        memo adopts the state only if it stepped exactly the chain's
+        sources and outcomes: a failed store write leaves a stepped cell
+        without a node, and an attach onto a loaded history steps its
+        node alone. The session offers it only while every cell was
+        analysed as a fold analyses it: under the stub registry the state
+        began with, and by the session's own analyzer (or none).
+        """
+        handed = 0
+        analyzer = self.kernel.cell_analyzer
+        if self._analysis_registry == self._registry_token() and (
+            analyzer is None or analyzer == self._analyze_cell
+        ):
+            chain = self.loader.replay_engine.chain_to(self.graph.head_id)
+            handed = self._resync_memo.adopt(
+                [node.cell_source for node in chain],
+                [node.executed for node in chain],
+                self.analysis,
+            )
+        self.observer.count("checkout.resync.handed_over", handed)
+
     def _resync_summaries(self, target_id: str) -> None:
         """Move the analysis state to the checked-out timeline.
 
@@ -785,11 +819,10 @@ class KishuSession:
         invalidation events) must not leak into analyses of cells run
         from here on. The fold of the target's chain, with each node's
         outcome, is exactly the state the hooks stepped live; the prefix
-        memo resumes it from the deepest ancestor an earlier fold (a
-        resync, or the replay engine's analysis) folded.
+        memo resumes it from the deepest ancestor it holds: one an
+        earlier fold (a resync, or the replay engine's analysis) folded,
+        or the chain of a head the session left (:meth:`_hand_over`).
         """
-        if not self._tracks_bindings:
-            return
         self._refold(target_id)
         self.observer.count("checkout.resync.reused", self._resync_memo.reused)
         self.observer.count("checkout.resync.folded", self._resync_memo.folded)
@@ -803,6 +836,7 @@ class KishuSession:
             stubs=self.analysis.stubs,
             memo=self._resync_memo,
         )
+        self._analysis_registry = self._registry_token()
 
     def _discard_carryover_after_checkout(
         self, target_id: str, report: CheckoutReport

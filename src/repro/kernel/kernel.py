@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import ast
 import io
+import sys
+import threading
 import time
-from contextlib import redirect_stdout
-from typing import Any, Callable, Dict, List, Optional, Union
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO, Union
 
 from repro.errors import KernelError
 from repro.kernel.cells import Cell, CellResult
@@ -33,6 +35,72 @@ from repro.kernel.events import (
 from repro.kernel.namespace import PatchedNamespace
 from repro.obs import NO_OBSERVER, Observer
 from repro.parsing import parse
+
+
+class _ThreadStdout:
+    """A ``sys.stdout`` that sends each write from a thread running a
+    cell to that cell's buffer, and every other write to ``replaced``."""
+
+    def __init__(self, replaced: TextIO, buffers: Dict[int, io.StringIO]) -> None:
+        self.replaced = replaced
+        self._buffers = buffers
+
+    def _target(self) -> TextIO:
+        return self._buffers.get(threading.get_ident(), self.replaced)
+
+    def write(self, text: str) -> int:
+        return self._target().write(text)
+
+    def flush(self) -> None:
+        self._target().flush()
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._target(), name)
+
+
+class _StdoutCapture:
+    """Per-thread capture of ``sys.stdout``.
+
+    ``contextlib.redirect_stdout`` swaps the process-wide stream, so
+    kernels running cells on concurrent threads would capture each
+    other's output. Instead, a :class:`_ThreadStdout` stands in for the
+    stream while any cell runs, counted under a lock, and the stream it
+    replaced is put back when the last one ends.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._buffers: Dict[int, io.StringIO] = {}
+        self._running = 0
+        self._proxy: Optional[_ThreadStdout] = None
+
+    @contextmanager
+    def __call__(self, buffer: io.StringIO) -> Iterator[None]:
+        thread = threading.get_ident()
+        with self._lock:
+            if self._running == 0:
+                self._proxy = _ThreadStdout(sys.stdout, self._buffers)
+                sys.stdout = self._proxy
+            self._running += 1
+            # A cell that runs a cell of another kernel nests a capture.
+            outer = self._buffers.get(thread)
+            self._buffers[thread] = buffer
+        try:
+            yield
+        finally:
+            with self._lock:
+                if outer is None:
+                    del self._buffers[thread]
+                else:
+                    self._buffers[thread] = outer
+                self._running -= 1
+                if self._running == 0 and self._proxy is not None:
+                    if sys.stdout is self._proxy:
+                        sys.stdout = self._proxy.replaced
+                    self._proxy = None
+
+
+_capture_stdout = _StdoutCapture()
 
 
 class NotebookKernel:
@@ -133,7 +201,7 @@ class NotebookKernel:
         stdout = io.StringIO()
         started = time.perf_counter()
         try:
-            with redirect_stdout(stdout):
+            with _capture_stdout(stdout):
                 exec(compile(exec_module, "<cell>", "exec"), self.user_ns)
                 if trailing_expr is not None:
                     result.value = eval(  # noqa: S307 - cell code is the workload

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from typing import List
+
 import pytest
 
 from repro.errors import KernelError
@@ -31,6 +35,14 @@ class TestRunCell:
     def test_stdout_is_captured(self, kernel):
         result = kernel.run_cell("print('hello')")
         assert result.stdout == "hello\n"
+
+    def test_nested_kernel_output_stays_with_its_cell(self, kernel):
+        kernel.user_ns["inner"] = NotebookKernel()
+        result = kernel.run_cell(
+            "print('a')\nout = inner.run_cell(\"print('b')\").stdout\nprint('c')"
+        )
+        assert result.stdout == "a\nc\n"
+        assert kernel.get("out") == "b\n"
 
     def test_execution_count_increments(self, kernel):
         first = kernel.run_cell("a = 1")
@@ -134,3 +146,39 @@ class TestCellModel:
         assert kernel.get("preset") == 99
         result = kernel.run_cell("preset + 1")
         assert result.value == 100
+
+
+class TestConcurrentKernels:
+    def test_each_cell_captures_only_its_own_output(self):
+        """Kernels on concurrent threads each get their own cells' output,
+        and ``sys.stdout`` is the object it was once every cell is done."""
+        threads, cells = 4, 300
+        wrong: List[str] = []
+        errors: List[BaseException] = []
+        stdout = sys.stdout
+
+        def work(index: int) -> None:
+            kernel = NotebookKernel()
+            try:
+                for i in range(cells):
+                    line = f"t{index}-c{i}"
+                    result = kernel.run_cell(f"print({line!r})")
+                    if result.stdout != line + "\n":
+                        wrong.append(f"{line}: {result.stdout!r}")
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert wrong == [], f"{len(wrong)} of {threads * cells} cells: {wrong[:3]}"
+        assert sys.stdout is stdout

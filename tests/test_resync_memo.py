@@ -8,27 +8,38 @@ These tests hold it to the fold it replaces: after every checkout the
 session's table and stub environment equal those of a fresh fold,
 driven cell by cell with ``advance``, of the target's chain — on fuzz
 programs, across branches, after a node's source is edited in place,
-and with summaries off.
+and with summaries off. Each checkout first hands the live state to the
+memo as the fold of the head's chain: the memo's states are held to
+fresh folds too, and the hand-over must refuse a live state that may
+not be that fold.
 """
 
 from __future__ import annotations
 
+import json
 import random
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.analysis.stubs import StubRegistry
+from repro.analysis.stubs import STUBDATA_DIR, StubRegistry, default_registry
 from repro.analysis.summaries import (
     CACHE_ENTRIES,
+    FoldState,
     NotebookSummaries,
     PrefixMemo,
+    StubFold,
     is_opaque_cell,
+    prefix_keys,
 )
 from repro.analysis.typetrack import StubContext
 from repro.analysis.visitor import analyze_cell
 from repro.core.graph import ROOT_ID
+from repro.core.retry import RetryPolicy
 from repro.core.session import KishuSession
+from repro.core.storage import InMemoryCheckpointStore
+from repro.errors import StorageError
+from repro.faults import FaultInjectingStore, FaultPlan, FaultRule
 from repro.fuzz.grammar import ProgramGenerator, profile
 from repro.kernel.kernel import NotebookKernel
 
@@ -92,6 +103,40 @@ def assert_matches_fresh_fold(session: KishuSession) -> None:
         assert env_state(session.stubs) == env_state(stubs)
 
 
+def fresh_fold(
+    session: KishuSession, sources: List[str], outcomes: List[bool]
+) -> FoldState:
+    """A cell-by-cell ``advance`` fold in the session's configuration,
+    under its stub registry, from nothing."""
+    stubs = StubContext(session.stubs.registry) if session.stubs is not None else None
+    state = NotebookSummaries(stubs) if session.summaries is not None else StubFold(stubs)
+    for source, executed in zip(sources, outcomes):
+        state.advance(source, executed)
+    return state
+
+
+def assert_memo_holds_fresh_folds(
+    session: KishuSession, verified: Optional[Dict[int, FoldState]] = None
+) -> None:
+    """Every memo key names a prefix of its state's steps, and those
+    steps — sources, outcomes and effects — are a fresh fold's.
+
+    ``verified`` keeps the stored states already checked (a stored state
+    never changes), so a long schedule checks each one once."""
+    verified = verified if verified is not None else {}
+    memo = session._resync_memo
+    for key, state in memo._tables.items():
+        steps = state.steps[: key[0]]
+        sources = [step.source for step in steps]
+        outcomes = [step.executed for step in steps]
+        assert prefix_keys(sources, outcomes)[-1] == key
+        if id(state) not in verified:
+            sources = [step.source for step in state.steps]
+            outcomes = [step.executed for step in state.steps]
+            assert state.steps == fresh_fold(session, sources, outcomes).steps
+            verified[id(state)] = state
+
+
 def counter(session: KishuSession, name: str) -> int:
     return session.observer.metrics.counter(name).value
 
@@ -136,6 +181,136 @@ class TestFuzzPrograms:
         assert counter(session, "checkout.resync.reused") > 0
 
 
+CONFIGS: List[Dict[str, bool]] = [
+    {"use_summaries": summaries, "use_stubs": stubs}
+    for summaries in (True, False)
+    for stubs in (True, False)
+]
+
+
+class TestHandOver:
+    """Each checkout hands the live state to the memo as the fold of the
+    head's chain. On the fuzz schedule above, in every configuration,
+    the state after a checkout is a fresh fold's, steps included, and
+    the memo holds nothing a fresh fold would not give."""
+
+    @pytest.mark.parametrize(
+        "config", CONFIGS, ids=["summaries+stubs", "summaries", "stubs", "neither"]
+    )
+    @pytest.mark.parametrize("name", ["func-heavy", "libsim-heavy", "hazard-heavy"])
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_memo_and_state_equal_fresh_folds(self, config, name, seed):
+        program = ProgramGenerator(profile(name, cells=20, branch_cells=5)).generate(seed)
+        session = KishuSession.init(NotebookKernel(), **config)
+        nodes = run(session, list(program.cells))
+        rng = random.Random(seed)
+        branch = list(program.branch_cells)
+        verified: Dict[int, FoldState] = {}
+        for round_ in range(15):
+            session.checkout(rng.choice(nodes))
+            assert_matches_fresh_fold(session)
+            head = session.head_id
+            fresh = fresh_fold(
+                session, chain_sources(session, head), chain_outcomes(session, head)
+            )
+            assert session.analysis.steps == fresh.steps
+            assert_memo_holds_fresh_folds(session, verified)
+            if branch and round_ % 3 == 1:
+                nodes += run(session, [branch.pop(0)])
+        assert counter(session, "checkout.resync.handed_over") > 0
+
+
+class TestHandOverRefusals:
+    """Where the live state may not be the fold of the head's chain, the
+    hand-over memoizes nothing, and the checkout folds as it would
+    without one."""
+
+    def checkout_refused(self, session: KishuSession, target: str) -> None:
+        handed = counter(session, "checkout.resync.handed_over")
+        session.checkout(target)
+        assert counter(session, "checkout.resync.handed_over") == handed
+        assert_matches_fresh_fold(session)
+        assert_memo_holds_fresh_folds(session)
+
+    def test_failed_store_write(self):
+        # The fifth node write fails: that cell's delta waits as a
+        # carryover, and the live state stepped a cell with no node.
+        plan = FaultPlan(rules=(FaultRule("write_node", 4, "permanent"),))
+        store = FaultInjectingStore(InMemoryCheckpointStore(), plan)
+        retry = RetryPolicy(max_attempts=2, base_delay=0.0, sleep=lambda _s: None)
+        session = KishuSession.init(NotebookKernel(), store=store, retry=retry)
+        nodes = run(session, HELPER_CELLS[:4])
+        with pytest.raises(StorageError):
+            session.kernel.run_cell(HELPER_CELLS[4])
+        assert session._carryover is not None
+        self.checkout_refused(session, nodes[1])
+
+    def test_attach_onto_a_stored_history(self):
+        # ``resume`` onto a kernel that holds names first loads the
+        # stored graph and attaches: attach commits the kernel's names as
+        # a node under the stored head, and the live state steps that
+        # node alone. Stopping there leaves the head's chain one node
+        # longer than the stored one and the state one step long.
+        store = InMemoryCheckpointStore()
+        first = KishuSession.init(NotebookKernel(), store=store)
+        nodes = run(first, HELPER_CELLS)
+        first.detach()
+        kernel = NotebookKernel()
+        kernel.run_cell("z = 9")
+        session = KishuSession(kernel, store=store)
+        session.graph.load(store)
+        session.attach()
+        assert len(chain_sources(session, session.head_id)) == len(nodes) + 1
+        assert len(session.analysis.steps) == 1
+        self.checkout_refused(session, nodes[3])
+
+    def test_stub_registry_changed_mid_session(self):
+        registry = default_registry()
+        session = KishuSession.init(NotebookKernel(), stub_registry=registry)
+        nodes = run(session, HELPER_CELLS)
+        # ``mean_of`` now mutates its frame: the live state analysed
+        # ``m = frame.mean_of('c0')`` as a pure call.
+        mapping = json.loads((STUBDATA_DIR / "libsim_data_analysis.json").read_text())
+        mapping["types"]["SimDataFrame"]["methods"]["mean_of"] = {"effect": "mutates"}
+        registry.add_mapping(mapping)
+        self.checkout_refused(session, nodes[3])
+        session.checkout(nodes[-1])
+        assert_memo_holds_fresh_folds(session)
+        assert "frame" in session.analysis.steps[-1].effects.stub_mutations
+
+    def test_foreign_cell_analyzer(self):
+        # The hooks take a foreign analyzer's effects: intraprocedural and
+        # stub-blind, they are not what the session's analysis gives.
+        kernel = NotebookKernel()
+        kernel.cell_analyzer = analyze_cell
+        session = KishuSession.init(kernel)
+        nodes = run(session, HELPER_CELLS)
+        self.checkout_refused(session, nodes[3])
+
+
+class TestUndoAndBranchSwitch:
+    def test_undo_redo_and_switches_between_live_tips_fold_nothing(self):
+        """The Fig 15 and Fig 16 pattern: every checkout lands on a chain
+        the session reached live, so none analyses a cell."""
+        session = KishuSession.init(NotebookKernel())
+        main = run(session, HELPER_CELLS)
+
+        def folded_by(target: str) -> int:
+            folded = counter(session, "checkout.resync.folded")
+            session.checkout(target)
+            assert_matches_fresh_fold(session)
+            return counter(session, "checkout.resync.folded") - folded
+
+        assert folded_by(main[-2]) == 0  # undo
+        assert folded_by(main[-1]) == 0  # redo
+        assert folded_by(main[3]) == 0
+        side = run(session, ["def push(x):\n    return x", "alias = push", "push(3)"])
+        assert folded_by(main[-1]) == 0  # switch to the other branch
+        assert folded_by(side[-1]) == 0  # and back
+        assert folded_by(main[-1]) == 0
+        assert_memo_holds_fresh_folds(session)
+
+
 class TestBranches:
     def test_sibling_branches_share_their_common_prefix(self):
         session = KishuSession.init(NotebookKernel())
@@ -147,7 +322,7 @@ class TestBranches:
             session.checkout(target)
             assert_matches_fresh_fold(session)
 
-    def test_undo_redo_analyses_only_cells_since_the_folded_ancestor(self):
+    def test_undo_redo_along_the_live_chain_analyses_nothing(self):
         session = KishuSession.init(NotebookKernel())
         nodes = run(session, HELPER_CELLS)
 
@@ -161,21 +336,36 @@ class TestBranches:
                 counter(session, "checkout.resync.folded") - folded,
             )
 
-        assert resync(nodes[3]) == (0, 4)  # nothing folded yet
-        assert resync(nodes[-1]) == (4, 4)  # redo: only the cells after it
-        assert resync(nodes[3]) == (4, 0)  # undo: a prefix already folded
+        # The first undo leaves the live head: its chain is handed over.
+        assert resync(nodes[3]) == (4, 0)
+        assert resync(nodes[-1]) == (8, 0)  # redo
+        assert resync(nodes[3]) == (4, 0)
         assert resync(nodes[-1]) == (8, 0)
+        assert counter(session, "checkout.resync.handed_over") == len(nodes)
 
-    def test_live_cells_never_reach_the_memo(self):
+    def test_live_state_reaches_the_memo_only_at_a_checkout(self):
         session = KishuSession.init(NotebookKernel())
         nodes = run(session, HELPER_CELLS[:4])
         session.checkout(nodes[1])
         memo = session._resync_memo
         stored = set(map(id, memo._tables.values()))
-        run(session, ["push(5)", "def push(x):\n    return x"])
+        side = run(session, ["push(5)", "def push(x):\n    return x"])
+        # Cells leave the memo untouched.
         assert set(map(id, memo._tables.values())) == stored
         assert session.summaries not in memo._tables.values()
+        live = session.summaries
+        before = table_state(live)
+        handed = counter(session, "checkout.resync.handed_over")
         session.checkout(nodes[-1])
+        # The checkout hands over the side branch's whole chain as a copy
+        # of the live state that holds no caches, and no caller holds it.
+        assert counter(session, "checkout.resync.handed_over") - handed == 4
+        key = prefix_keys(chain_sources(session, side[-1]))[-1]
+        copy = memo._tables[key]
+        assert copy is not live and copy is not session.analysis
+        assert len(copy._extract_cache) == len(copy._resolve_cache) == 0
+        assert table_state(copy) == table_state(live) == before
+        assert len(memo) <= len(session.graph)
         assert_matches_fresh_fold(session)
 
 
@@ -208,6 +398,24 @@ class TestAttachNode:
         run(session, ["import numpy as np", "def f():\n    global a\n    a = 2", "b = 3"])
         assert len(chain_sources(session, session.head_id)) == 4
         assert_matches_fresh_fold(session)
+
+    def test_reattach_over_a_pending_carryover(self):
+        # The attach node's commit folds the failed cell's delta under it
+        # and refolds the state from the combined node.
+        plan = FaultPlan(rules=(FaultRule("write_node", 1, "permanent"),))
+        store = FaultInjectingStore(InMemoryCheckpointStore(), plan)
+        retry = RetryPolicy(max_attempts=2, base_delay=0.0, sleep=lambda _s: None)
+        session = KishuSession.init(NotebookKernel(), store=store, retry=retry)
+        run(session, ["def f():\n    return 1"])
+        with pytest.raises(StorageError):
+            session.kernel.run_cell("g = f")
+        session.detach()
+        session.attach()
+        assert session._carryover is None
+        assert_matches_fresh_fold(session)
+        steps = [(step.source, step.executed) for step in session.analysis.steps]
+        head = session.head_id
+        assert steps == list(zip(chain_sources(session, head), chain_outcomes(session, head)))
 
 
 class TestSummariesOff:

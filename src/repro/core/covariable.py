@@ -8,13 +8,16 @@ co-variable can be treated as an independent data table.
 
 The :class:`CoVariablePool` maintains the current partition of the
 namespace into co-variables, keyed by frozensets of member names, together
-with each member's most recent VarGraph snapshot.
+with each member's most recent VarGraph snapshot. A co-variable a checkout
+loaded from its payload is *pending* until a cell may touch it: its key is
+known, its graphs are built only when a cell needs them as the "before"
+graphs (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import AbstractSet, Any, Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.core.vargraph import VarGraph, VarGraphBuilder
 
@@ -100,6 +103,17 @@ def group_into_components(graphs: Dict[str, VarGraph]) -> List[Set[str]]:
     return list(components.values())
 
 
+def covariables_from_graphs(graphs: Dict[str, VarGraph]) -> List[CoVariable]:
+    """The co-variables :func:`group_into_components` forms, with their graphs."""
+    return [
+        CoVariable(
+            names=covar_key(member_names),
+            graphs={name: graphs[name] for name in member_names},
+        )
+        for member_names in group_into_components(graphs)
+    ]
+
+
 class CoVariablePool:
     """The current partition of the user namespace into co-variables."""
 
@@ -107,6 +121,8 @@ class CoVariablePool:
         self.builder = builder if builder is not None else VarGraphBuilder()
         self._covars: Dict[CoVarKey, CoVariable] = {}
         self._key_of_name: Dict[str, CoVarKey] = {}
+        #: Keys of the co-variables whose graphs are not built yet.
+        self._pending: Set[CoVarKey] = set()
 
     # -- construction ---------------------------------------------------------
 
@@ -116,14 +132,7 @@ class CoVariablePool:
     ) -> "CoVariablePool":
         """Build the pool for an entire namespace snapshot."""
         pool = cls(builder)
-        graphs = pool.builder.build_many(items)
-        for member_names in group_into_components(graphs):
-            pool._insert(
-                CoVariable(
-                    names=covar_key(member_names),
-                    graphs={name: graphs[name] for name in member_names},
-                )
-            )
+        pool.replace((), covariables_from_graphs(pool.builder.build_many(items)))
         return pool
 
     # -- queries ---------------------------------------------------------------
@@ -160,29 +169,56 @@ class CoVariablePool:
     def __contains__(self, key: CoVarKey) -> bool:
         return key in self._covars
 
+    @property
+    def pending(self) -> AbstractSet[CoVarKey]:
+        """Keys of the co-variables whose graphs are not built yet (a
+        read-only view)."""
+        return self._pending
+
     # -- mutation (used by the delta detector and checkout) ---------------------
 
     def _insert(self, covariable: CoVariable) -> None:
         self._covars[covariable.key] = covariable
+        self._pending.discard(covariable.key)
         for name in covariable.names:
             self._key_of_name[name] = covariable.key
 
     def _remove(self, key: CoVarKey) -> None:
         covariable = self._covars.pop(key)
+        self._pending.discard(key)
         for name in covariable.names:
             existing = self._key_of_name.get(name)
             if existing == key:
                 del self._key_of_name[name]
 
     def replace(
-        self, removed_keys: Iterable[CoVarKey], added: Iterable[CoVariable]
+        self,
+        removed_keys: Iterable[CoVarKey],
+        added: Iterable[CoVariable],
+        *,
+        pending: Iterable[CoVarKey] = (),
     ) -> None:
-        """Atomically swap a set of co-variables for their successors."""
+        """Atomically swap a set of co-variables for their successors;
+        the ``pending`` keys join without graphs."""
         for key in removed_keys:
             if key in self._covars:
                 self._remove(key)
         for covariable in added:
             self._insert(covariable)
+        for key in pending:
+            self._insert(CoVariable(names=key))
+            self._pending.add(key)
+
+    def build_pending(
+        self, keys: Iterable[CoVarKey], namespace_items: Dict[str, Any]
+    ) -> None:
+        """Build the graphs of pending co-variables and regroup their
+        members into connected components, as a checkout resync does."""
+        keys = [key for key in keys if key in self._pending]
+        graphs = self.rebuild_for_names(
+            {name for key in keys for name in key}, namespace_items
+        )
+        self.replace(keys, covariables_from_graphs(graphs))
 
     def rebuild_for_names(
         self, names: Iterable[str], namespace_items: Dict[str, Any]

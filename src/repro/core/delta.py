@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Optional, Set
 
 from repro.core.covariable import (
     CoVariable,
     CoVariablePool,
     CoVarKey,
-    covar_key,
-    group_into_components,
+    covariables_from_graphs,
 )
 from repro.kernel.namespace import AccessRecord, filter_user_names
 from repro.telemetry import WalkStats
@@ -58,6 +57,9 @@ class StateDelta:
             (objects visited, cache hits/misses, nodes spliced, bytes
             hashed, graphs built) — the §7.6-style evidence that tracking
             cost tracks the delta, not the state.
+        unbuilt: Candidates that were still pending (DESIGN.md §7): with
+            no "before" graph to compare against, each counts as changed
+            and is stored again.
     """
 
     created: Dict[CoVarKey, CoVariable] = field(default_factory=dict)
@@ -67,6 +69,7 @@ class StateDelta:
     checked_names: Set[str] = field(default_factory=set)
     detection_seconds: float = 0.0
     walk: WalkStats = field(default_factory=WalkStats)
+    unbuilt: int = 0
 
     @property
     def updated(self) -> Dict[CoVarKey, CoVariable]:
@@ -182,6 +185,7 @@ class DeltaDetector:
             if key is not None:
                 candidate_keys.add(key)
         delta.accessed_keys = set(candidate_keys)
+        delta.unbuilt = len(candidate_keys & self.pool.pending)
 
         new_names = current_names - known_names
         candidate_names: Set[str] = set(new_names)
@@ -207,7 +211,7 @@ class DeltaDetector:
 
         # Re-group candidates into connected components (§4.3 step 3):
         # merges and splits can only involve accessed co-variables.
-        new_components = group_into_components(new_graphs)
+        new_covariables = covariables_from_graphs(new_graphs)
 
         old_graphs: Dict[str, Any] = {}
         for key in candidate_keys:
@@ -215,14 +219,9 @@ class DeltaDetector:
             if covariable is not None:
                 old_graphs.update(covariable.graphs)
 
-        new_covariables: List[CoVariable] = []
         surviving_keys: Set[CoVarKey] = set()
-        for member_names in new_components:
-            key = covar_key(member_names)
-            covariable = CoVariable(
-                names=key, graphs={name: new_graphs[name] for name in member_names}
-            )
-            new_covariables.append(covariable)
+        for covariable in new_covariables:
+            key = covariable.key
             if key in candidate_keys:
                 surviving_keys.add(key)
                 if self._graphs_changed(covariable, old_graphs):
@@ -251,6 +250,8 @@ class DeltaDetector:
         for name in accessed_names:
             graph = self.pool.graph_of(name)
             if graph is None:
+                # New, or pending: nothing walked its objects, so no
+                # cached subtree holds them.
                 continue
             if graph.opaque or graph.truncated:
                 # The graph's id-set under-approximates what the cell could

@@ -2,9 +2,10 @@
 
 The :class:`StateLoader` executes a checkout plan against the live kernel:
 it loads (only) the diverged co-variables of the target state, deletes
-names absent from it, regenerates VarGraphs for everything it touched, and
-moves the head — all inside the same kernel process, which is what makes
-Kishu's checkout *incremental* and non-intrusive.
+names absent from it, re-partitions the pool for everything it touched
+(leaving co-variables loaded from their payloads pending, DESIGN.md §7),
+and moves the head — all inside the same kernel process, which is what
+makes Kishu's checkout *incremental* and non-intrusive.
 
 The :class:`DataRestorer` reconstructs versioned co-variables whose
 payloads are missing (skipped at checkpoint time) or fail to load: it loads
@@ -24,10 +25,9 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.dataflow import ChainAnalysis
 from repro.core.covariable import (
-    CoVariable,
     CoVariablePool,
     CoVarKey,
-    group_into_components,
+    covariables_from_graphs,
 )
 from repro.core.graph import CheckpointGraph
 from repro.core.planner import CheckoutPlan, CheckoutPlanner
@@ -286,7 +286,7 @@ class StateLoader:
         """Restore the kernel to the session state at ``target_id``.
 
         Follows the paper's three steps: (1) load versioned co-variables to
-        update diverged ones, (2) re-generate VarGraphs for what changed,
+        update diverged ones, (2) re-partition the pool for what changed,
         (3) move the head. ``resync_summaries`` brings the session's
         analysis state to the target last, inside the checkout's span
         and its ``seconds``.
@@ -354,7 +354,7 @@ class StateLoader:
                         namespace.plant(name, values[name])
 
             with self.observer.span("checkout.resync"):
-                self._resync_pool(plan, materialized, namespace)
+                self._resync_pool(plan, materialized, namespace, report)
             self.graph.move_head(target_id)
             if resync_summaries is not None:
                 with self.observer.span("checkout.resync_summaries"):
@@ -385,17 +385,22 @@ class StateLoader:
         plan: CheckoutPlan,
         materialized: List[Tuple[CoVarKey, Dict[str, Any]]],
         namespace: PatchedNamespace,
+        report: CheckoutReport,
     ) -> None:
-        """Step 2 of checkout: re-generate VarGraphs for updated
-        co-variables and re-partition the pool accordingly.
+        """Step 2 of checkout: re-partition the pool for the updated
+        co-variables.
 
-        The rebuilt graphs are re-grouped into connected components rather
-        than trusting the plan-key grouping: materialized values may alias
-        across plan keys (a shared dependency memoized by the restorer, a
-        nondeterministic recompute), and keeping them in separate
-        co-variables would violate Definition 1's disjointness invariant —
-        every later delta and checkout would then reason over a broken
-        partition."""
+        A co-variable loaded from its own payload joins the pool pending
+        (DESIGN.md §7): its objects come from one deserialization of what
+        the commit grouped as one component, so its key is still one, and
+        a cell builds its graphs only when it may touch it. Every other
+        co-variable's graphs are rebuilt and re-grouped into connected
+        components rather than trusting the plan-key grouping: a replay or
+        recomputation shares the restorer's cache, so its values may alias
+        across plan keys, and keeping them in separate co-variables would
+        violate Definition 1's disjointness invariant — every later delta
+        and checkout would then reason over a broken partition. The same
+        holds for a key the restorer produced without reporting a load."""
         touched_names: Set[str] = set(plan.delete_names)
         for key, _ in materialized:
             touched_names |= key
@@ -419,16 +424,15 @@ class StateLoader:
                     stale_ids |= covariable.id_set
             builder.invalidate_ids(stale_ids)
 
-        items = namespace.user_items()
+        loaded = set() if report.recomputed_keys else set(report.loaded_keys)
+        pending = [key for key, _ in materialized if key in loaded]
+        rebuilt = []
         restored_names = {
-            name for key, _ in materialized for name in key if name in items
+            name for key, _ in materialized if key not in loaded for name in key
         }
-        graphs = builder.build_many({name: items[name] for name in restored_names})
-        rebuilt = [
-            CoVariable(
-                names=frozenset(member_names),
-                graphs={name: graphs[name] for name in member_names},
+        if restored_names:
+            rebuilt = covariables_from_graphs(
+                self.pool.rebuild_for_names(restored_names, namespace.user_items())
             )
-            for member_names in group_into_components(graphs)
-        ]
-        self.pool.replace(stale_keys, rebuilt)
+        self.pool.replace(stale_keys, rebuilt, pending=pending)
+        self.observer.count("checkout.pool.pending", len(pending))

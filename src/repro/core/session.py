@@ -337,8 +337,36 @@ class KishuSession:
             effects = self._analyze_cell(info.cell.source)
         self._cell_effects = effects
         self._bindings = self.kernel.user_ns.user_items()
+        if self.pool.pending:
+            self._build_pending(effects)
         if not self.kernel.user_ns.recording:
             self.kernel.user_ns.begin_recording()
+
+    def _build_pending(self, effects: CellEffects) -> None:
+        """Build the pending co-variables this cell may touch (DESIGN.md §7).
+
+        A checkout leaves the co-variables it loaded from payloads
+        pending. Under Lemma 1 their graphs matter only as the "before"
+        graphs of a cell that may touch a member, so those the cell's
+        static access sets name are built now, before it runs, and all of
+        them when the sets cannot bound the cell. One the cell touches
+        anyway is stored again (:attr:`StateDelta.unbuilt`).
+        """
+        pool = self.pool
+        if effects.is_opaque or self.detector.check_all:
+            keys = set(pool.pending)
+        else:
+            names = (
+                effects.all_accessed
+                | effects.summary_mutations
+                | effects.stub_mutations
+            )
+            keys = {pool.key_of(name) for name in names} & pool.pending
+        if not keys:
+            return
+        with self.observer.span("cell.pending", keys=len(keys)):
+            pool.build_pending(keys, self._bindings)
+        self.observer.count("pool.pending.built", len(keys))
 
     def _on_post_run(self, result: CellResult) -> None:
         record = self.kernel.user_ns.end_recording()
@@ -504,6 +532,8 @@ class KishuSession:
                             "bytes_hashed": delta.walk.bytes_hashed,
                         }
                     )
+                if delta.unbuilt:
+                    obs.count("pool.pending.unbuilt", delta.unbuilt)
             # Stub-mismatch safety net (DESIGN.md §15.3): the delta
             # detector is the runtime oracle for stub truthfulness. A
             # changed co-variable containing a declared-pure receiver,
@@ -640,8 +670,11 @@ class KishuSession:
                 if store_payloads and not self.blocklist.blocks_any(
                     covariable.type_names()
                 ):
+                    # Members in name order: a payload's bytes follow its
+                    # values, not the order in which its key was built.
                     values = {
-                        name: self.kernel.user_ns.peek(name) for name in key
+                        name: self.kernel.user_ns.peek(name)
+                        for name in sorted(key)
                     }
                     started = time.perf_counter()
                     try:

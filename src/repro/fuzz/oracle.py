@@ -18,6 +18,12 @@ The oracle runs one generated program three ways and cross-checks:
    and the restored canonical state is compared against the cold run's
    state at that point.
 
+Branch rounds then check out a random commit, run a new cell on it and
+compare the live state with a cold replay of its path; after the rounds
+every branched commit is checked out again, from the root, and compared
+with the state recorded at its commit, which catches a delta that a cell
+after a checkout stored wrongly.
+
 Divergence anywhere is collected, never raised — the fuzzer's driver
 decides whether to shrink, report, or fail. On top of state equality the
 oracle cross-checks the PR 5 telemetry invariants: every cross-validator
@@ -167,6 +173,7 @@ class OracleReport:
     commits_checked: int = 0
     checkouts: int = 0
     branch_rounds: int = 0
+    branch_rechecks: int = 0
     escalations: int = 0
     declines: int = 0
     divergences: List[Divergence] = field(default_factory=list)
@@ -179,7 +186,8 @@ class OracleReport:
         if self.ok:
             return (
                 f"ok: {self.commits_checked} commits, {self.checkouts} "
-                f"checkouts, {self.branch_rounds} branch rounds, "
+                f"checkouts, {self.branch_rounds} branch rounds "
+                f"({self.branch_rechecks} rechecked), "
                 f"{self.escalations} escalation(s), {self.declines} decline(s)"
             )
         lines = [f"{len(self.divergences)} divergence(s):"]
@@ -272,6 +280,7 @@ def run_cells_oracle(
     # 4. Branch rounds: check out mid-history, continue with new cells,
     #    and verify the branched commit against a cold replay of its
     #    root-to-node path.
+    branched: List[Tuple[str, int, bytes]] = []  # (node, cell index, state)
     for branch_cell in branch_cells:
         target_id, target_index = rng.choice(node_of_cell)
         try:
@@ -290,11 +299,13 @@ def run_cells_oracle(
         kernel.run_cell(branch_cell, raise_on_error=False)
         new_id = session.head_id
         report.branch_rounds += 1
+        committed = canonical_state(kernel)
+        branched.append((new_id, target_index, committed))
         path_sources = _path_sources(session, new_id)
         branch_kernel = NotebookKernel()
         for source in path_sources:
             branch_kernel.run_cell(source, raise_on_error=False)
-        if canonical_state(kernel) != canonical_state(branch_kernel):
+        if committed != canonical_state(branch_kernel):
             if len(report.divergences) < max_divergences:
                 report.divergences.append(
                     Divergence(
@@ -306,6 +317,36 @@ def run_cells_oracle(
                         seed=seed,
                     )
                 )
+
+    # 5. Check out every branched commit again, from the empty root state
+    #    and in creation order (no rng draw, so seeds keep their
+    #    schedules): the restored state must be the one its cell left, so
+    #    every co-variable that cell changed after its checkout must have
+    #    reached the store.
+    for node_id, index, committed in branched:
+        report.branch_rechecks += 1
+        try:
+            session.checkout(ROOT_ID)
+            session.checkout(node_id)
+        except Exception as exc:
+            detail = f"branch recheck raised {type(exc).__name__}: {exc}"
+        else:
+            if canonical_state(kernel) == committed:
+                continue
+            detail = (
+                "re-checked-out branch commit differs from the state "
+                "recorded at its commit"
+            )
+        if len(report.divergences) < max_divergences:
+            report.divergences.append(
+                Divergence(
+                    kind="branch",
+                    node_id=node_id,
+                    cell_index=index,
+                    detail=detail,
+                    seed=seed,
+                )
+            )
 
     _check_telemetry(session, report, seed)
     return report

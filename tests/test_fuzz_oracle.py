@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.delta import DeltaDetector
+from repro.core.session import KishuSession
 from repro.fuzz.oracle import (
     Divergence,
     canonical_state,
@@ -121,6 +123,40 @@ class TestOracleRun:
     def test_profiles_pass_oracle(self, name):
         _, report = run_fuzz_iteration(11, profile(name, cells=10, branch_cells=2))
         assert report.ok, report.describe()
+
+
+class TestBranchRechecks:
+    CELLS = ["a = [1]", "a.append(2)", "b = [0]"]
+
+    def test_every_branched_commit_is_checked_out_again(self):
+        report = run_cells_oracle(
+            self.CELLS, seed=2, branch_cells=("a.append(99)", "c = [len(a)]")
+        )
+        assert report.ok, report.describe()
+        assert report.branch_rechecks == 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_delta_stored_wrongly_after_a_checkout_is_caught(
+        self, monkeypatch, seed
+    ):
+        # A session that never builds the co-variables a checkout left
+        # pending, and whose detector takes a co-variable without a
+        # "before" graph as unchanged, drops the branch cell's append
+        # from its commit. The live state still matches the cold replay
+        # of the branch; only checking the commit out again shows it.
+        def changed(covariable, old_graphs):
+            return any(
+                name in old_graphs and graph.differs_from(old_graphs[name])
+                for name, graph in covariable.graphs.items()
+            )
+
+        monkeypatch.setattr(KishuSession, "_build_pending", lambda *args: None)
+        monkeypatch.setattr(DeltaDetector, "_graphs_changed", staticmethod(changed))
+        report = run_cells_oracle(
+            self.CELLS, seed=seed, branch_cells=("a.append(99)",)
+        )
+        assert [d.kind for d in report.divergences] == ["branch"]
+        assert "re-checked-out" in report.divergences[0].detail
 
 
 class TestDivergenceRendering:

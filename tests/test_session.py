@@ -70,6 +70,17 @@ class TestCheckpointing:
         metric = session.metrics[-1]
         assert metric.skipped_unserializable == 1
 
+    def test_payload_members_are_in_name_order(self, session):
+        # However the key's frozenset iterates, equal values pickle to
+        # equal bytes, so a co-variable stored again shares its blocks.
+        names = ["m5", "m3", "m0", "m6", "m4", "m1", "m2"]
+        session.run_cell("shared = []\n" + "\n".join(f"{n} = [shared]" for n in names))
+        node = session.graph.head
+        [key] = node.updated
+        payload = session.store.read_payload(node.node_id, key)
+        values = session.serializer.deserialize(payload.data, payload.serializer)
+        assert list(values) == sorted(names + ["shared"])
+
     def test_dependencies_recorded(self, session):
         session.run_cell("base = [1]")
         session.run_cell("derived = [base[0] * 2]")
